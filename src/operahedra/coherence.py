@@ -193,12 +193,11 @@ def check_local_confluence(tree):
     """Check every critical pair: the two forward moves out of a face source
     must rejoin at the face sink along the two boundary arcs."""
     sk = build_skeleton(tree)
+    corners = complexes.CornerIndex(sk.complex, sk.orientation)
     joinable = 0
     by_shape = {}
     for ci, face in enumerate(sk.faces):
-        sources, sinks = complexes.cell_sources_sinks(
-            sk.complex, sk.orientation, face.steps
-        )
+        sources, sinks = corners.sources_sinks(ci)
         if len(sources) == 1 and len(sinks) == 1:
             joinable += 1
             by_shape[face.shape] = by_shape.get(face.shape, 0) + 1

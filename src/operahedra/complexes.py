@@ -10,13 +10,18 @@ An orientation is a bit per edge: 0 directs the edge endpointA -> endpointB,
 1 the other way.  On top of an orientation the module computes face sources
 and sinks, outgoing links, Morse certificates with an independent checker,
 and integral homology through Smith normal form.
+
+Engine code reads face sources, sinks and outgoing links from one
+`CornerIndex` per complex and orientation.  `check_morse_certificate`
+deliberately does not: it rescans each cell boundary it checks with its own
+small helpers, so that the checker shares no code with the search it checks.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .errors import DanglingReferenceError, NonRegularError
+from .errors import DanglingReferenceError, HomologyRankError, NonRegularError
 
 
 class Complex2:
@@ -153,7 +158,10 @@ def step_from(c, orientation, e):
 
 
 def cell_sources_sinks(c, orientation, cell):
-    """Local sources and sinks of a boundary walk under the orientation."""
+    """Local sources and sinks of a boundary walk under the orientation.
+
+    Used by the independent checker only; engine code reads them from a
+    CornerIndex."""
     m = len(cell)
     sources, sinks = [], []
     for k in range(m):
@@ -175,23 +183,84 @@ class OutgoingLink(NamedTuple):
     links: tuple  # (edge, edge, cell) pairs joined on a co-face sourced here
 
 
+class Corner(NamedTuple):
+    vertex: int
+    arriving: int  # edge id of the step into the vertex
+    leaving: int  # edge id of the step out of the vertex
+    cell: int
+    arrives_up: bool  # the arriving step runs along the orientation
+    leaves_up: bool  # the leaving step runs along the orientation
+
+    @property
+    def is_source(self):
+        """Both edges point away from the vertex."""
+        return self.leaves_up and not self.arrives_up
+
+    @property
+    def is_sink(self):
+        """Both edges point towards the vertex."""
+        return self.arrives_up and not self.leaves_up
+
+
+class CornerIndex:
+    """Every corner of every 2-cell of a complex under one orientation.
+
+    A corner is a vertex of a boundary walk together with the steps that
+    arrive at it and leave it.  One pass over the cell boundaries buckets the
+    corners by vertex (`at_vertex`) and by cell (`of_cell`), both in cell
+    order and then walk order, so that a vertex's outgoing link, a cell's
+    sources and sinks, and the cell sourced at a pair of edges are lookups
+    proportional to a vertex or cell degree.  `out` lists the edges directed
+    away from each vertex, ascending.
+    """
+
+    __slots__ = ("out", "at_vertex", "of_cell")
+
+    def __init__(self, c, orientation):
+        orientation = check_orientation(c, orientation)
+        self.out = out_edges(c, orientation)
+        self.at_vertex = [[] for _ in range(c.vertex_count)]
+        self.of_cell = []
+        for ci, cell in enumerate(c.cells):
+            ids = [abs(s) - 1 for s in cell]
+            ups = [(s > 0) == (orientation[e] == 0) for s, e in zip(cell, ids)]
+            corners = tuple(
+                # a step's tail is endpoint A when it runs forward, else B
+                Corner(c.edges[e][s < 0], ids[k - 1], e, ci, ups[k - 1], ups[k])
+                for k, (s, e) in enumerate(zip(cell, ids))
+            )
+            for corner in corners:
+                self.at_vertex[corner.vertex].append(corner)
+            self.of_cell.append(corners)
+
+    def outgoing_link(self, x):
+        links = tuple(
+            (k.arriving, k.leaving, k.cell) for k in self.at_vertex[x] if k.is_source
+        )
+        return OutgoingLink(x, tuple(self.out[x]), links)
+
+    def sources_sinks(self, ci):
+        """Local sources and sinks of cell ci, in walk order."""
+        sources = [k.vertex for k in self.of_cell[ci] if k.is_source]
+        sinks = [k.vertex for k in self.of_cell[ci] if k.is_sink]
+        return sources, sinks
+
+    def cell_at(self, x, e1, e2):
+        """The first cell, in cell order, whose source corner at x lies
+        between edges e1 and e2; None when there is none."""
+        for k in self.at_vertex[x]:
+            if k.is_source and {k.arriving, k.leaving} == {e1, e2}:
+                return k.cell
+        return None
+
+
 def outgoing_link(c, orientation, x):
     """Graph on the outgoing edges at x; two are joined when they are the two
-    boundary edges of a 2-cell whose face source is x."""
-    nodes = tuple(e for e in range(len(c.edges)) if directed_ends(c, orientation, e)[0] == x)
-    links = []
-    for ci, cell in enumerate(c.cells):
-        m = len(cell)
-        for k in range(m):
-            if c.step_ends(cell[k])[0] != x:
-                continue
-            arriving = cell[(k - 1) % m]
-            leaving = cell[k]
-            if not step_ascends(c, orientation, arriving) and step_ascends(
-                c, orientation, leaving
-            ):
-                links.append((abs(arriving) - 1, abs(leaving) - 1, ci))
-    return OutgoingLink(x, nodes, tuple(links))
+    boundary edges of a 2-cell whose face source is x.
+
+    Builds a CornerIndex for the one vertex; to visit many vertices, build
+    the index once and call its `outgoing_link`."""
+    return CornerIndex(c, orientation).outgoing_link(x)
 
 
 def link_components(link):
@@ -263,6 +332,7 @@ def morse_certificate(c, orientation):
     (equivalently its boundary is two directed arcs).
     """
     orientation = check_orientation(c, orientation)
+    corners = CornerIndex(c, orientation)
     V = c.vertex_count
     adj = [[] for _ in range(V)]
     indeg = [0] * V
@@ -287,7 +357,7 @@ def morse_certificate(c, orientation):
 
     witnesses = []
     for x in range(V):
-        link = outgoing_link(c, orientation, x)
+        link = corners.outgoing_link(x)
         tree = link_spanning_tree(link)
         if tree is None:
             return CounterexampleReport(
@@ -301,8 +371,8 @@ def morse_certificate(c, orientation):
         return CounterexampleReport("sink_not_unique", sorted(sinks))
 
     face_data = []
-    for ci, cell in enumerate(c.cells):
-        sources, snks = cell_sources_sinks(c, orientation, cell)
+    for ci in range(len(c.cells)):
+        sources, snks = corners.sources_sinks(ci)
         if len(sources) != 1 or len(snks) != 1:
             return CounterexampleReport(
                 "face_not_two_arcs",
@@ -314,7 +384,28 @@ def morse_certificate(c, orientation):
 
 
 def _find_cycle(adj, indeg_left):
+    """A directed cycle among the vertices the topological sort left over.
+
+    Left-over vertices downstream of a cycle may lead nowhere, so those
+    from which no cycle can be reached are peeled off first; the walk from
+    the least vertex left, along first successors, then has to close up.
+    """
     remaining = {v for v, d in enumerate(indeg_left) if d > 0}
+    preds = {v: [] for v in remaining}
+    outdeg = dict.fromkeys(remaining, 0)
+    for v in remaining:
+        for w in adj[v]:
+            if w in remaining:
+                outdeg[v] += 1
+                preds[w].append(v)
+    dead = [v for v in remaining if not outdeg[v]]
+    while dead:
+        v = dead.pop()
+        remaining.discard(v)
+        for u in preds[v]:
+            outdeg[u] -= 1
+            if not outdeg[u]:
+                dead.append(u)
     v = min(remaining)
     path, seen = [], {}
     while v not in seen:
@@ -503,7 +594,14 @@ def homology(c):
         torsion1=tuple(d for d in div2 if d > 1),
         euler=V - E + F,
     )
-    assert report.betti0 - report.betti1 + report.betti2 == report.euler
+    # The alternating sum holds for any two ranks; a rank too large for
+    # its matrices shows as a negative Betti number.
+    betti = report[:3]
+    if min(betti) < 0 or betti[0] - betti[1] + betti[2] != report.euler:
+        raise HomologyRankError(
+            f"Betti numbers {betti} do not fit the Euler characteristic "
+            f"{report.euler}"
+        )
     return report
 
 

@@ -25,6 +25,10 @@ class ShapeError(EngineError):
     """A 2-face whose boundary is not a 4-, 5- or 6-cycle: signals a combinatorics bug."""
 
 
+class HomologyRankError(EngineError):
+    """Boundary ranks that give a negative Betti number: signals an arithmetic bug."""
+
+
 class NonRegularError(EngineError):
     """A cell boundary walk repeats a vertex or an edge, or an edge is a loop."""
 

@@ -11,7 +11,7 @@ beyond these data types.
 
 from typing import NamedTuple
 
-from .complexes import MorseCertificate, step_ascends, step_from
+from .complexes import CornerIndex, MorseCertificate, step_ascends, step_from
 from .errors import (
     BrokenChainError,
     NotOrientedError,
@@ -192,24 +192,9 @@ class HomotopyBuilder:
         self.o = tuple(orientation)
         self.cert = cert
         self.sink = cert.global_sink
-        self._out = [[] for _ in range(c.vertex_count)]  # sorted steps per vertex
-        for e in range(len(c.edges)):
-            s = step_from(c, self.o, e)
-            self._out[c.step_ends(s)[0]].append(s)
-        for steps in self._out:
-            steps.sort(key=abs)
-        # (vertex, edge, edge) -> a cell with that source and those two edges
-        self._pair_cell = {}
-        for ci, cell in enumerate(c.cells):
-            m = len(cell)
-            for k in range(m):
-                v = c.step_ends(cell[k])[0]
-                arriving, leaving = cell[(k - 1) % m], cell[k]
-                if step_ascends(c, self.o, leaving) and not step_ascends(
-                    c, self.o, arriving
-                ):
-                    pair = frozenset((abs(arriving) - 1, abs(leaving) - 1))
-                    self._pair_cell.setdefault((v, pair), ci)
+        self.corners = CornerIndex(c, self.o)
+        # steps leaving each vertex along the orientation, by edge id
+        self._out = [[step_from(c, self.o, e) for e in out] for out in self.corners.out]
         self._descent = {}
         self._arcs = {}
         self._memo = {}
@@ -291,7 +276,7 @@ class HomotopyBuilder:
             moves = _shift(self.oriented_to_sink(nxt, g1[1:], g2[1:]), 1)
         else:
             e1, e2 = abs(s1) - 1, abs(s2) - 1
-            ci = self._pair_cell.get((x, frozenset((e1, e2))))
+            ci = self.corners.cell_at(x, e1, e2)
             if ci is not None:
                 moves = self._across_face(x, ci, g1, g2)
             else:

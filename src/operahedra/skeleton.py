@@ -9,6 +9,7 @@ the forward direction is the rewrite towards the unique normal form.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from . import trees
@@ -87,13 +88,8 @@ def flip_nest(tree, nesting, nest):
     parts = trees.pieces(rest, parent)
     assert len(parts) == 3, "dropping one nest must leave a ternary parent"
     top = parts[0]  # pieces are ordered by min id; the first holds the top
-
-    def holder(piece):
-        pv = tree.parent[min(piece)]
-        return next(q for q in parts if pv in q)
-
     x, y = parts[1], parts[2]
-    hx, hy = holder(x), holder(y)
+    hx, hy = _holder(tree, parts, x), _holder(tree, parts, y)
     if hx is top and hy is top:
         groupings = (top | x, top | y)
     elif hx is top and hy is x:
@@ -112,17 +108,18 @@ def flip_nest(tree, nesting, nest):
     return rest | {added}, added
 
 
+def _holder(tree, parts, piece):
+    """The piece holding the parent of a non-top piece's top vertex."""
+    pv = tree.parent[min(piece)]
+    return next(q for q in parts if pv in q)
+
+
 def _quotient_template(tree, parts):
     """Which of the five 4-vertex planar tree shapes four pieces form."""
     top = parts[0]
-
-    def holder(piece):
-        pv = tree.parent[min(piece)]
-        return next(q for q in parts if pv in q)
-
     kids = {id(q): [] for q in parts}
     for q in parts[1:]:
-        kids[id(holder(q))].append(q)
+        kids[id(_holder(tree, parts, q))].append(q)
     for lst in kids.values():
         lst.sort(key=min)
 
@@ -134,13 +131,16 @@ def _quotient_template(tree, parts):
         mid_kids = kids[id(mid)]
         if len(mid_kids) == 2:
             return "hexagon.1"
-        assert len(mid_kids) == 1
+        if len(mid_kids) != 1:
+            raise ShapeError("four pieces do not form a 4-vertex quotient tree")
         return "pentagon.1"
-    assert len(top_kids) == 2
+    if len(top_kids) != 2:
+        raise ShapeError("four pieces do not form a 4-vertex quotient tree")
     left, right = top_kids
     if kids[id(left)]:
         return "pentagon.2"
-    assert kids[id(right)]
+    if not kids[id(right)]:
+        raise ShapeError("four pieces do not form a 4-vertex quotient tree")
     return "pentagon.3"
 
 
@@ -182,23 +182,28 @@ class Skeleton:
 
     def __init__(self, tree):
         self.tree = tree
-        p = tree.p
         self.vertices = trees.enumerate_maximal_nestings(tree)
         self.index = {m: i for i, m in enumerate(self.vertices)}
         full = trees.full_nest(tree)
 
+        # across[i][nest] = (j, added): flipping nest at vertex i gives vertex j.
+        # Each edge is flipped once, from its smaller end, and recorded at both.
+        across = [{} for _ in self.vertices]
         edge_map = {}
         for i, m in enumerate(self.vertices):
-            for nest in sorted(m - {full}, key=lambda n: tuple(sorted(n))):
+            for nest in m - {full}:
+                if nest in across[i]:
+                    continue
                 flipped, added = flip_nest(tree, m, nest)
                 j = self.index[flipped]
-                if i < j:
-                    kind, forward = classify_flip(tree, nest, added)
-                    edge_map[(i, j)] = SkeletonEdge(i, j, nest, added, kind, forward)
+                across[i][nest] = (j, added)
+                across[j][added] = (i, nest)
+                kind, forward = classify_flip(tree, nest, added)
+                edge_map[(i, j)] = SkeletonEdge(i, j, nest, added, kind, forward)
         self.edges = [edge_map[k] for k in sorted(edge_map)]
         self.edge_index = {(e.a, e.b): idx for idx, e in enumerate(self.edges)}
 
-        self.faces = self._build_faces()
+        self.faces = self._build_faces(across)
         self.complex = Complex2(
             len(self.vertices),
             [(e.a, e.b) for e in self.edges],
@@ -210,31 +215,26 @@ class Skeleton:
 
     # -- construction ---------------------------------------------------------
 
-    def _build_faces(self):
+    def _build_faces(self, across):
+        """Every 2-face, each once: a face nesting is a vertex's nesting less
+        two of its non-full nests, and its boundary walks from the vertex
+        across those two free nests alternately.  Each face is first met at
+        its least vertex; its cycle starts there and runs towards the
+        smaller of the two neighbours."""
         tree = self.tree
-        p = tree.p
-        if p < 4:
-            return []
-        full = trees.full_nest(tree)
-        others = [n for n in trees.enumerate_nests(tree) if n != full]
-        found = []
-
-        def rec(start, chosen):
-            if len(chosen) == p - 4:
-                found.append(frozenset(chosen) | {full})
-                return
-            for idx in range(start, len(others)):
-                n = others[idx]
-                if all(trees.nests_compatible(n, c) for c in chosen):
-                    rec(idx + 1, chosen + [n])
-
-        rec(0, [])
-        found.sort(key=trees.nesting_sort_key)
-
+        cycles = {}
+        for i, m in enumerate(self.vertices):
+            for n1, n2 in combinations(across[i], 2):
+                nesting = m - {n1, n2}
+                if nesting in cycles:
+                    continue
+                if across[i][n2][0] < across[i][n1][0]:
+                    n1, n2 = n2, n1
+                cycles[nesting] = self._walk_face(across, i, n1, n2)
         faces = []
-        for nesting in found:
+        for nesting in sorted(cycles, key=trees.nesting_sort_key):
             shape, template = face_shape(tree, nesting)
-            cycle = self._boundary_cycle(nesting)
+            cycle = cycles[nesting]
             if SHAPE_BY_LENGTH.get(len(cycle)) != shape:
                 raise ShapeError(
                     f"face {trees.nesting_to_json(nesting)}: boundary length "
@@ -244,31 +244,23 @@ class Skeleton:
                 self._step_between(cycle[k], cycle[(k + 1) % len(cycle)])
                 for k in range(len(cycle))
             )
-            faces.append(TwoFace(nesting, tuple(cycle), steps, shape, template))
+            faces.append(TwoFace(nesting, cycle, steps, shape, template))
         return faces
 
-    def _boundary_cycle(self, face_nesting):
-        members = [i for i, m in enumerate(self.vertices) if face_nesting <= m]
-        member_set = set(members)
-        adj = {i: [] for i in members}
-        for e in self.edges:
-            if e.a in member_set and e.b in member_set:
-                adj[e.a].append(e.b)
-                adj[e.b].append(e.a)
-        if any(len(v) != 2 for v in adj.values()):
-            raise ShapeError("2-face restriction is not a plain cycle")
-        start = min(members)
-        second = min(adj[start])
-        cycle = [start, second]
+    @staticmethod
+    def _walk_face(across, start, n1, n2):
+        """The boundary cycle from `start` crossing n1 first, then the two
+        free nests in turn; a boundary is at most a hexagon."""
+        cycle = [start]
+        at, leave, other = start, n1, n2
         while True:
-            prev, cur = cycle[-2], cycle[-1]
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            if nxt == start:
-                break
-            cycle.append(nxt)
-        if len(cycle) != len(members):
-            raise ShapeError("2-face boundary does not visit all its vertices")
-        return cycle
+            at, added = across[at][leave]
+            if at == start:
+                return tuple(cycle)
+            if len(cycle) == 6:
+                raise ShapeError("2-face boundary does not close within six steps")
+            cycle.append(at)
+            leave, other = other, added
 
     def _step_between(self, u, v):
         key = (u, v) if u < v else (v, u)

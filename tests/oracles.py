@@ -4,10 +4,14 @@ Everything here recomputes expected values from first principles with
 different algorithms and different data representations than the package:
 subset enumeration instead of recursive decomposition, explicit binary
 trees instead of nestings, a stack instead of windowed cancellation, and
-rational Gaussian elimination instead of integer Smith normal form.
+rational Gaussian elimination instead of integer Smith normal form.  The
+cell-corner scans at the end are the engine's original quadratic ones, kept
+as the reference for its corner index; the f-vector closed forms carry the
+checks past the sizes the brute-force enumeration reaches.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -202,3 +206,171 @@ def rational_rank(matrix):
         rank += 1
         col += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# Closed-form f-vectors
+
+
+def kirkman_cayley(m, j):
+    """Dissections of a convex m-gon by j non-crossing diagonals."""
+    if j < 0:
+        return 0
+    return math.comb(m - 3, j) * math.comb(m + j - 1, j) // (j + 1)
+
+
+def linear_f_vector(p):
+    """The linear tree on p >= 2 vertices gives the associahedron of the
+    (p+1)-gon: its k-faces are the dissections with m - 3 - k diagonals."""
+    m = p + 1
+    return tuple(kirkman_cayley(m, m - 3 - k) for k in range(3))
+
+
+def stirling2(n, k):
+    """Stirling number of the second kind, by the row recurrence."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+def corolla_f_vector(k):
+    """The corolla with k >= 2 children gives the permutohedron of order k:
+    k! vertices, k!(k-1)/2 edges and (k-2)! S(k, k-2) 2-faces."""
+    f = math.factorial(k)
+    return f, f * (k - 1) // 2, math.factorial(k - 2) * stirling2(k, k - 2)
+
+
+# ---------------------------------------------------------------------------
+# Cell corners and Morse data by exhaustive scans
+
+
+def _ascends(orientation, s):
+    return (s > 0) == (orientation[abs(s) - 1] == 0)
+
+
+def _tail(c, s):
+    a, b = c.edges[abs(s) - 1]
+    return a if s > 0 else b
+
+
+def cell_sources_sinks_brute(c, orientation, cell):
+    """Local sources and sinks of a boundary walk, in walk order."""
+    sources, sinks = [], []
+    for k in range(len(cell)):
+        arr_asc = _ascends(orientation, cell[k - 1])
+        leave_asc = _ascends(orientation, cell[k])
+        if not arr_asc and leave_asc:
+            sources.append(_tail(c, cell[k]))
+        elif arr_asc and not leave_asc:
+            sinks.append(_tail(c, cell[k]))
+    return sources, sinks
+
+
+def outgoing_link_brute(c, orientation, x):
+    """(nodes, links) at x by scanning every edge and every cell corner:
+    nodes are the edges leaving x, links the (arriving edge, leaving edge,
+    cell) triples of the corners where a cell has its source at x."""
+    nodes = tuple(
+        e for e, (a, b) in enumerate(c.edges) if (a if orientation[e] == 0 else b) == x
+    )
+    links = []
+    for ci, cell in enumerate(c.cells):
+        for k in range(len(cell)):
+            if _tail(c, cell[k]) != x:
+                continue
+            arriving, leaving = cell[k - 1], cell[k]
+            if not _ascends(orientation, arriving) and _ascends(orientation, leaving):
+                links.append((abs(arriving) - 1, abs(leaving) - 1, ci))
+    return nodes, tuple(links)
+
+
+def morse_brute(c, orientation):
+    """Reference for ``morse_certificate``, as a plain tuple.
+
+    The same checks in the same order and the same canonical witnesses: the
+    least topological order, a cycle followed from the least vertex left
+    over, link components, and breadth-first spanning trees from the least
+    outgoing edge taking neighbours in sorted order.
+    """
+    V = c.vertex_count
+    succ = [[] for _ in range(V)]
+    for e, (a, b) in enumerate(c.edges):
+        src, dst = (a, b) if orientation[e] == 0 else (b, a)
+        succ[src].append(dst)
+    preds = [0] * V
+    for targets in succ:
+        for w in targets:
+            preds[w] += 1
+    placed, order = set(), []
+    while True:
+        ready = next((v for v in range(V) if v not in placed and not preds[v]), None)
+        if ready is None:
+            break
+        placed.add(ready)
+        order.append(ready)
+        for w in succ[ready]:
+            preds[w] -= 1
+    if len(order) != V:
+        left = [v for v in range(V) if v not in placed]
+        reach = {}
+        for v in left:
+            seen, stack = set(), [v]
+            while stack:
+                for w in succ[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            reach[v] = seen
+        # the walk starts at the least vertex from which a cycle is reachable
+        # and keeps to the first successor from which one still is
+        cyclic = {v for v in left if v in reach[v]}
+        leads = {v for v in left if v in cyclic or reach[v] & cyclic}
+        path, seen, v = [], {}, min(leads)
+        while v not in seen:
+            seen[v] = len(path)
+            path.append(v)
+            v = next(w for w in succ[v] if w in leads)
+        return ("cycle", path[seen[v]:])
+
+    witnesses = []
+    for x in range(V):
+        nodes, links = outgoing_link_brute(c, orientation, x)
+        near = {e: sorted(
+            [(b, t) for a, b, ci in links for t in [(a, b, ci)] if a == e]
+            + [(a, t) for a, b, ci in links for t in [(a, b, ci)] if b == e]
+        ) for e in nodes}
+        tree, seen, queue = [], set(nodes[:1]), list(nodes[:1])
+        for v in queue:
+            for w, t in near[v]:
+                if w not in seen:
+                    seen.add(w)
+                    tree.append(t)
+                    queue.append(w)
+        if len(seen) != len(nodes):
+            comps, done = [], set()
+            for e in nodes:
+                if e in done:
+                    continue
+                comp, stack = {e}, [e]
+                while stack:
+                    for w, _ in near[stack.pop()]:
+                        if w not in comp:
+                            comp.add(w)
+                            stack.append(w)
+                done |= comp
+                comps.append(tuple(sorted(comp)))
+            return ("disconnected_link", {"vertex": x, "components": sorted(comps)})
+        witnesses.append(tuple(tree))
+
+    sinks = [v for v in range(V) if not succ[v]]
+    if len(sinks) != 1:
+        return ("sink_not_unique", sinks)
+
+    faces = []
+    for ci, cell in enumerate(c.cells):
+        sources, snks = cell_sources_sinks_brute(c, orientation, cell)
+        if len(sources) != 1 or len(snks) != 1:
+            return ("face_not_two_arcs", {"cell": ci, "sources": sources, "sinks": snks})
+        faces.append((sources[0], snks[0]))
+    return (tuple(order), sinks[0], tuple(faces), tuple(witnesses))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from operahedra import complexes as cx
-from operahedra.errors import DanglingReferenceError, NonRegularError
+from operahedra.errors import DanglingReferenceError, HomologyRankError, NonRegularError
 from operahedra.geometry import induced_orientation, random_generic_vector
 from operahedra.skeleton import build_skeleton
 from operahedra.trees import PlanarTree
@@ -96,6 +96,13 @@ def test_morse_cycle_detection():
     assert sorted(result.witness) == [0, 1, 2]
 
 
+def test_morse_cycle_found_past_a_dead_end():
+    # vertex 0's first out-edge leads to 3, which is left over but on no cycle
+    c = cx.Complex2(4, [(0, 3), (0, 1), (1, 2), (2, 0)], [])
+    result = cx.morse_certificate(c, (0, 0, 0, 0))
+    assert result == cx.CounterexampleReport("cycle", [0, 1, 2])
+
+
 def test_checker_rejects_forged_certificates():
     c = pentagon_disk()
     o = (0, 0, 0, 0, 0)
@@ -152,6 +159,15 @@ def test_homology_torus_like_torsion():
     rep = cx.homology(c)
     assert rep.torsion1 == (2,)
     assert rep.betti1 == 0
+
+
+def test_homology_rejects_a_wrong_diagonal(monkeypatch):
+    real = cx.smith_normal_form_diagonal
+    # one divisor too many per matrix: rank 2 for a boundary map of rank 1
+    monkeypatch.setattr(cx, "smith_normal_form_diagonal", lambda m: real(m) + [1])
+    c = cx.Complex2(2, [(0, 1)], [])
+    with pytest.raises(HomologyRankError):
+        cx.homology(c)
 
 
 def test_homology_disjoint_components():
