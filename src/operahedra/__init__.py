@@ -31,9 +31,6 @@ from .homotopy import (
     Certificate,
     HomotopyBuilder,
     Path,
-    canonical_descent,
-    general_homotopy,
-    oriented_homotopy,
     reduce_path,
     verify_certificate,
 )
@@ -67,7 +64,6 @@ __all__ = [
     "PlanarTree",
     "Skeleton",
     "build_skeleton",
-    "canonical_descent",
     "certify_simply_connected",
     "check_local_confluence",
     "check_morse_certificate",
@@ -78,7 +74,6 @@ __all__ = [
     "enumerate_nests",
     "enumerate_ordered_trees",
     "expression_to_nesting",
-    "general_homotopy",
     "homology",
     "induced_orientation",
     "loday_point",
@@ -86,7 +81,6 @@ __all__ = [
     "morse_certificate",
     "nesting_to_expression",
     "normal_form",
-    "oriented_homotopy",
     "outgoing_link",
     "parse_expression",
     "polytope_morse_check",

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import complexes, coherence, geometry, trees
-from .errors import EngineError, NotGenericError, ParseError
+from .errors import CertificateRejectedError, EngineError, NotGenericError, ParseError
 from .homotopy import Certificate, verify_certificate
 from .skeleton import build_skeleton
 
@@ -68,24 +68,18 @@ def _load_json(path):
 
 
 def _tree_from_args(args):
-    picked = [
-        bool(getattr(args, "linear", None)),
-        bool(getattr(args, "corolla_children", None)),
-        bool(getattr(args, "tree", None)),
-        bool(getattr(args, "expr", None)),
-        bool(getattr(args, "maclane", None)),
-    ]
-    if sum(picked) != 1:
+    names = ("linear", "corolla_children", "tree", "expr", "maclane")
+    if sum(getattr(args, name, None) is not None for name in names) != 1:
         raise ParseError(
             "choose exactly one of --linear, --corolla-children, --tree, --expr, --maclane"
         )
-    if args.linear:
+    if args.linear is not None:
         return trees.PlanarTree.linear(args.linear), None
-    if args.corolla_children:
+    if args.corolla_children is not None:
         return trees.PlanarTree.corolla(args.corolla_children), None
-    if args.tree:
+    if args.tree is not None:
         return trees.PlanarTree.from_json(_load_json(args.tree)), None
-    if getattr(args, "expr", None):
+    if getattr(args, "expr", None) is not None:
         expr = trees.parse_expression(args.expr)
         tree, _ = trees.expression_to_nesting(expr)
         return tree, expr
@@ -482,17 +476,12 @@ def main(argv=None):
     started = time.monotonic()
     try:
         code = args.func(args)
-    except (ParseError, NotGenericError) as exc:
+    except (EngineError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NotGenericError):
-            print(f"error: {exc}", file=sys.stderr)
             return EXIT_REFUTED
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, CertificateRejectedError):
+            return EXIT_REJECTED
         return EXIT_INPUT
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

@@ -12,12 +12,19 @@ import re
 from typing import NamedTuple
 
 from . import complexes, trees
-from .errors import IllegalMoveError, NotParallelError, ParseError
+from .errors import (
+    CertificateRejectedError,
+    EngineError,
+    IllegalMoveError,
+    NotParallelError,
+    ParseError,
+)
 from .homotopy import (
     BacktrackDelete,
     BacktrackInsert,
     FaceSubstitute,
     Path,
+    validate_path,
     verify_certificate,
 )
 from .skeleton import build_skeleton, classify_flip, flip_nest
@@ -45,55 +52,54 @@ class CoherenceVerdict(NamedTuple):
     statistics: dict
 
 
-def replay_word(word):
-    """Validate a word and return (tree, list of nestings visited).
+def replay(expr, moves):
+    """Apply moves to the nesting of ``expr``; return (tree, word, visited).
 
-    Every move must remove a nest that is present, add the unique flip
-    partner, and carry the sign matching its forward classification.
+    Each move is (removed, added, sign, kind); added, sign and kind may be
+    None.  Stated fields must match the flip partner and the forward
+    classification, unstated ones are filled in from them, and `visited`
+    holds the nestings passed through.  Raises IllegalMoveError.
     """
-    tree, nesting = trees.expression_to_nesting(word.expr)
-    visited = [nesting]
-    current = nesting
-    for k, (removed, added, sign) in enumerate(word.moves):
+    tree, current = trees.expression_to_nesting(expr)
+    visited = [current]
+    word = []
+    for k, (removed, added, sign, kind) in enumerate(moves):
         removed = frozenset(removed)
-        added = frozenset(added)
         if removed not in current:
             raise IllegalMoveError(k, f"nest {sorted(removed)} is not present")
         try:
-            flipped, expected = flip_nest(tree, current, removed)
-        except (ValueError, AssertionError) as exc:
+            current, partner = flip_nest(tree, current, removed)
+        except EngineError as exc:
             raise IllegalMoveError(k, str(exc)) from exc
-        if added != expected:
+        if added is not None and frozenset(added) != partner:
             raise IllegalMoveError(
                 k, f"adding {sorted(added)} does not complete a maximal nesting"
             )
-        kind, forward = classify_flip(tree, removed, added)
-        if sign != (1 if forward else -1):
+        got_kind, forward = classify_flip(tree, removed, partner)
+        if kind is not None and kind != got_kind:
+            raise IllegalMoveError(k, f"move is {got_kind}, stated as {kind}")
+        got_sign = 1 if forward else -1
+        if sign is not None and sign != got_sign:
             raise IllegalMoveError(
-                k, f"sign {sign} contradicts the {kind} forward direction"
+                k, f"sign {sign} contradicts the {got_kind} forward direction"
             )
-        current = flipped
+        word.append((removed, partner, got_sign))
         visited.append(current)
-    return tree, visited
+    return tree, MorphismWord(expr, tuple(word)), visited
 
 
 def word_to_path(word):
     """The combinatorial path a word traces on its operahedron skeleton."""
-    tree, visited = replay_word(word)
+    tree, _, visited = replay(word.expr, [(*m, None) for m in word.moves])
     sk = build_skeleton(tree)
-    steps = []
-    for a, b in zip(visited, visited[1:]):
-        u, v = sk.index[a], sk.index[b]
-        key = (u, v) if u < v else (v, u)
-        e = sk.edge_index[key]
-        steps.append((e + 1) if u < v else -(e + 1))
-    return sk, Path(sk.index[visited[0]], tuple(steps))
+    at = [sk.index[m] for m in visited]
+    steps = tuple(sk.step_between(u, v) for u, v in zip(at, at[1:]))
+    return sk, Path(at[0], steps)
 
 
 def moves_from_steps(sk, start_vertex, steps):
     """Rebuild word moves from a skeleton walk; inverse of word_to_path."""
     moves = []
-    at = start_vertex
     for s in steps:
         e = sk.edges[abs(s) - 1]
         if s > 0:
@@ -103,7 +109,6 @@ def moves_from_steps(sk, start_vertex, steps):
             removed, added = e.added, e.removed
             forward = not e.forward
         moves.append((removed, added, 1 if forward else -1))
-        at = sk.complex.step_ends(s)[1]
     return tuple(moves)
 
 
@@ -117,15 +122,13 @@ def decide_coherence(w1, w2):
         raise NotParallelError("words have different domain objects")
     sk, p1 = word_to_path(w1)
     _, p2 = word_to_path(w2)
-    from .homotopy import path_end
-
-    if path_end(sk.complex, p1) != path_end(sk.complex, p2):
+    if validate_path(sk.complex, p1) != validate_path(sk.complex, p2):
         raise NotParallelError("words have different codomain objects")
     builder = sk.homotopy_builder()
     cert = builder.general(p1, p2)
     check = verify_certificate(sk.complex, cert)
     if not check.ok:
-        raise AssertionError(f"generated certificate rejected: {check}")
+        raise CertificateRejectedError(f"generated certificate rejected: {check}")
     stats = {
         "moves": len(cert.moves),
         "backtrack_inserts": sum(isinstance(m, BacktrackInsert) for m in cert.moves),
@@ -156,12 +159,8 @@ def normal_form(expr):
     sk = build_skeleton(tree)
     builder = sk.homotopy_builder()
     at = sk.index[nesting]
-    steps = builder.descent(at)
-    moves = moves_from_steps(sk, at, steps)
-    end = at
-    for s in steps:
-        end = sk.complex.step_ends(s)[1]
-    return sk.expression_of(end), MorphismWord(expr, moves)
+    moves = moves_from_steps(sk, at, builder.descent(at))
+    return sk.expression_of(builder.sink), MorphismWord(expr, moves)
 
 
 def random_normal_form(expr, rng):
@@ -172,9 +171,7 @@ def random_normal_form(expr, rng):
     at = sk.index[nesting]
     while out[at]:
         e = rng.choice(out[at])
-        src, dst = complexes.directed_ends(sk.complex, sk.orientation, e)
-        assert src == at
-        at = dst
+        at = complexes.directed_ends(sk.complex, sk.orientation, e)[1]
     return sk.expression_of(at)
 
 
@@ -283,8 +280,6 @@ def parse_word_text(expr, text):
     must match the classifier and a leading ``-`` marks an inverse
     traversal (sign -1).
     """
-    tree, nesting = trees.expression_to_nesting(expr)
-    current = nesting
     moves = []
     for k, token in enumerate(text.split()):
         m = _SUGAR_RE.match(token)
@@ -292,40 +287,22 @@ def parse_word_text(expr, text):
             raise ParseError(f"move {k}: bad token {token!r}")
         inverse, kind, ids = m.groups()
         removed = frozenset(int(x) for x in ids.split("."))
-        if removed not in current:
-            raise IllegalMoveError(k, f"nest {sorted(removed)} is not present")
-        current, added = flip_nest(tree, current, removed)
-        got_kind, forward = classify_flip(tree, removed, added)
-        sign = -1 if inverse else 1
-        if got_kind != kind:
-            raise IllegalMoveError(k, f"move is {got_kind}, token says {kind}")
-        if sign != (1 if forward else -1):
-            raise IllegalMoveError(
-                k,
-                f"token sign {sign} contradicts the {got_kind} forward direction",
-            )
-        moves.append((removed, added, sign))
-    return MorphismWord(expr, tuple(moves))
+        moves.append((removed, None, -1 if inverse else 1, kind))
+    return replay(expr, moves)[1]
 
 
 def word_from_json(data, expr=None):
     """Word from JSON: {"object": "...", "moves": [{"remove": [...],
     "add": [...]?, "sign": n?}, ...]}; omitted fields are inferred."""
-    if expr is None:
-        expr = trees.parse_expression(data["object"])
-    tree, nesting = trees.expression_to_nesting(expr)
-    current = nesting
-    moves = []
-    for k, mv in enumerate(data.get("moves", ())):
-        removed = frozenset(int(v) for v in mv["remove"])
-        if removed not in current:
-            raise IllegalMoveError(k, f"nest {sorted(removed)} is not present")
-        current, added = flip_nest(tree, current, removed)
-        if "add" in mv and frozenset(int(v) for v in mv["add"]) != added:
-            raise IllegalMoveError(k, "stated 'add' nest is not the flip partner")
-        _, forward = classify_flip(tree, removed, added)
-        sign = 1 if forward else -1
-        if "sign" in mv and int(mv["sign"]) != sign:
-            raise IllegalMoveError(k, "stated sign contradicts the classifier")
-        moves.append((removed, added, sign))
-    return MorphismWord(expr, tuple(moves))
+    try:
+        if expr is None:
+            expr = trees.parse_expression(data["object"])
+        moves = [
+            (frozenset(int(v) for v in mv["remove"]),
+             frozenset(int(v) for v in mv["add"]) if "add" in mv else None,
+             int(mv["sign"]) if "sign" in mv else None, None)
+            for mv in data.get("moves", ())
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad word document: {exc}") from exc
+    return replay(expr, moves)[1]

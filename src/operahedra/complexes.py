@@ -21,7 +21,12 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .errors import DanglingReferenceError, HomologyRankError, NonRegularError
+from .errors import (
+    DanglingReferenceError,
+    HomologyRankError,
+    NonRegularError,
+    ParseError,
+)
 
 
 class Complex2:
@@ -76,15 +81,17 @@ class Complex2:
 
     @classmethod
     def from_json(cls, data):
-        cells = []
-        for walk in data.get("cells", []):
-            if len(walk) % 2 != 0:
+        try:
+            walks = data.get("cells", [])
+            if any(len(walk) % 2 != 0 for walk in walks):
                 raise DanglingReferenceError("cell walk must alternate vertex, edge")
-            steps = tuple(walk[1::2])
-            cells.append(steps)
-        c = cls(data["vertices"], data["edges"], cells)
+            c = cls(data["vertices"], data["edges"], [walk[1::2] for walk in walks])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad complex document: {exc}") from exc
         # the redundant vertices in the alternating form must match the steps
-        for walk, steps in zip(data.get("cells", []), c.cells):
+        for ci, (walk, steps) in enumerate(zip(walks, c.cells)):
+            if any(s == 0 or abs(s) > len(c.edges) for s in steps):
+                raise DanglingReferenceError(f"cell {ci}: bad edge reference")
             stated = tuple(walk[0::2])
             if stated != c.cell_vertices(steps):
                 raise DanglingReferenceError(

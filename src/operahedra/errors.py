@@ -57,6 +57,10 @@ class IllegalMoveError(EngineError):
         self.index = index
 
 
+class CertificateRejectedError(EngineError):
+    """A generated certificate that the independent verifier rejects: signals a generator bug."""
+
+
 class NotGenericError(EngineError):
     """A direction vector tied on some edge; carries the offending edge id."""
 

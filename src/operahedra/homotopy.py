@@ -16,6 +16,7 @@ from .errors import (
     BrokenChainError,
     NotOrientedError,
     NotParallelError,
+    ParseError,
 )
 
 
@@ -94,30 +95,31 @@ class Certificate(NamedTuple):
 
     @classmethod
     def from_json(cls, data):
-        moves = []
-        for m in data["moves"]:
-            if m["op"] == "insert":
-                step = (m["edge"] + 1) * (1 if m["sign"] > 0 else -1)
-                moves.append(BacktrackInsert(m["position"], step))
-            elif m["op"] == "delete":
-                moves.append(BacktrackDelete(m["position"]))
-            elif m["op"] == "face":
-                moves.append(
-                    FaceSubstitute(
-                        m["position"],
-                        m["cell"],
-                        m["matched"],
-                        m["offset"],
-                        bool(m["reverse"]),
+        try:
+            moves = []
+            for m in data["moves"]:
+                if m["op"] == "insert":
+                    step = (m["edge"] + 1) * (1 if m["sign"] > 0 else -1)
+                    moves.append(BacktrackInsert(m["position"], step))
+                elif m["op"] == "delete":
+                    moves.append(BacktrackDelete(m["position"]))
+                elif m["op"] == "face":
+                    moves.append(
+                        FaceSubstitute(
+                            m["position"],
+                            m["cell"],
+                            m["matched"],
+                            m["offset"],
+                            bool(m["reverse"]),
+                        )
                     )
-                )
-            else:
-                raise ValueError(f"unknown move op {m['op']!r}")
-        return cls(
-            Path.from_json(data["source"]),
-            Path.from_json(data["target"]),
-            tuple(moves),
-        )
+                else:
+                    raise ParseError(f"unknown move op {m['op']!r}")
+            source = Path.from_json(data["source"])
+            target = Path.from_json(data["target"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad certificate document: {exc}") from exc
+        return cls(source, target, tuple(moves))
 
 
 def validate_path(c, path):
@@ -133,10 +135,6 @@ def validate_path(c, path):
             raise BrokenChainError(f"step {i}: expected to leave {at}, leaves {tail}")
         at = head
     return at
-
-
-def path_end(c, path):
-    return validate_path(c, path)
 
 
 def reduce_path(c, path):
@@ -334,12 +332,16 @@ class HomotopyBuilder:
 
     # -- public operations ---------------------------------------------------
 
+    def _common_end(self, p1, p2):
+        """The end vertex of two valid paths that share both endpoints."""
+        end = validate_path(self.c, p1)
+        if validate_path(self.c, p2) != end or p1.start != p2.start:
+            raise NotParallelError("paths must share both endpoints")
+        return end
+
     def oriented(self, p1, p2):
         """Certificate between parallel oriented paths (all steps ascending)."""
-        end1 = validate_path(self.c, p1)
-        end2 = validate_path(self.c, p2)
-        if p1.start != p2.start or end1 != end2:
-            raise NotParallelError("paths must share both endpoints")
+        end1 = self._common_end(p1, p2)
         for p in (p1, p2):
             for i, s in enumerate(p.steps):
                 if not step_ascends(self.c, self.o, s):
@@ -387,71 +389,45 @@ class HomotopyBuilder:
 
     def general(self, p1, p2):
         """Certificate between parallel paths with arbitrary step signs."""
-        end1 = validate_path(self.c, p1)
-        end2 = validate_path(self.c, p2)
-        if p1.start != p2.start or end1 != end2:
-            raise NotParallelError("paths must share both endpoints")
+        self._common_end(p1, p2)
         forward = self.to_canonical(p1)
         backward = self.to_canonical(p2)
         inverse = invert_moves(self.c, p2, backward)
         return Certificate(p1, p2, tuple(forward) + tuple(inverse))
 
 
+def _apply(c, word, m):
+    """Apply one move to a step list in place, unchecked, and return the
+    move that undoes it; generation-side."""
+    if isinstance(m, BacktrackInsert):
+        word[m.position : m.position] = [m.step, -m.step]
+        return BacktrackDelete(m.position)
+    if isinstance(m, BacktrackDelete):
+        undo = BacktrackInsert(m.position, word[m.position])
+        del word[m.position : m.position + 2]
+        return undo
+    w = rotated_boundary(c, m.cell, m.offset, m.reverse)
+    word[m.position : m.position + m.matched] = _inverse_word(w[m.matched :])
+    n = len(w)
+    return FaceSubstitute(
+        m.position, m.cell, n - m.matched, (n - m.offset) % n, not m.reverse
+    )
+
+
 def apply_moves(c, path, moves):
     """Replay moves over a word without validating them; generation-side."""
     word = list(path.steps)
     for m in moves:
-        if isinstance(m, BacktrackInsert):
-            word[m.position : m.position] = [m.step, -m.step]
-        elif isinstance(m, BacktrackDelete):
-            del word[m.position : m.position + 2]
-        else:
-            w = rotated_boundary(c, m.cell, m.offset, m.reverse)
-            replacement = _inverse_word(w[m.matched :])
-            word[m.position : m.position + m.matched] = replacement
+        _apply(c, word, m)
     return Path(path.start, tuple(word))
 
 
 def invert_moves(c, path, moves):
     """The reversed move list undoing `moves`, computed by forward replay."""
     word = list(path.steps)
-    inverted = []
-    for m in moves:
-        if isinstance(m, BacktrackInsert):
-            inverted.append(BacktrackDelete(m.position))
-            word[m.position : m.position] = [m.step, -m.step]
-        elif isinstance(m, BacktrackDelete):
-            inverted.append(BacktrackInsert(m.position, word[m.position]))
-            del word[m.position : m.position + 2]
-        else:
-            n = len(c.cells[m.cell])
-            inverted.append(
-                FaceSubstitute(
-                    m.position,
-                    m.cell,
-                    n - m.matched,
-                    (n - m.offset) % n,
-                    not m.reverse,
-                )
-            )
-            w = rotated_boundary(c, m.cell, m.offset, m.reverse)
-            replacement = _inverse_word(w[m.matched :])
-            word[m.position : m.position + m.matched] = replacement
+    inverted = [_apply(c, word, m) for m in moves]
     inverted.reverse()
     return inverted
-
-
-def canonical_descent(c, orientation, cert, x):
-    """Oriented path from x to the global sink, least edge id at each step."""
-    return Path(x, HomotopyBuilder(c, orientation, cert).descent(x))
-
-
-def oriented_homotopy(c, orientation, cert, p1, p2):
-    return HomotopyBuilder(c, orientation, cert).oriented(p1, p2)
-
-
-def general_homotopy(c, orientation, cert, p1, p2):
-    return HomotopyBuilder(c, orientation, cert).general(p1, p2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import trees
 from .complexes import Complex2
-from .errors import MalformedEdgeError, ShapeError
+from .errors import MalformedEdgeError, NotMaximalError, ShapeError
 
 BETA = "beta"
 THETA = "theta"
@@ -78,15 +78,18 @@ def flip_nest(tree, nesting, nest):
 
     Dropping a non-full nest leaves its parent with three immediate pieces;
     the quotient of those pieces is a three-vertex tree, so exactly two
-    groupings are connected and the flip swaps one for the other.
+    groupings are connected and the flip swaps one for the other.  Raises
+    MalformedEdgeError for the full nest and NotMaximalError when the
+    nesting is not maximal around ``nest``.
     """
     rest = nesting - {nest}
     enclosing = [m for m in rest if nest < m]
     if not enclosing:
-        raise ValueError("the full nest cannot be flipped")
+        raise MalformedEdgeError("the full nest cannot be flipped")
     parent = min(enclosing, key=len)
     parts = trees.pieces(rest, parent)
-    assert len(parts) == 3, "dropping one nest must leave a ternary parent"
+    if len(parts) != 3:
+        raise NotMaximalError("dropping one nest must leave a ternary parent")
     top = parts[0]  # pieces are ordered by min id; the first holds the top
     x, y = parts[1], parts[2]
     hx, hy = _holder(tree, parts, x), _holder(tree, parts, y)
@@ -97,13 +100,13 @@ def flip_nest(tree, nesting, nest):
     elif hy is top and hx is y:
         groupings = (top | y, x | y)
     else:
-        raise AssertionError("pieces do not form a three-vertex quotient tree")
+        raise NotMaximalError("pieces do not form a three-vertex quotient tree")
     if nest == groupings[0]:
         added = groupings[1]
     elif nest == groupings[1]:
         added = groupings[0]
     else:
-        raise AssertionError("the dropped nest is not a grouping of the pieces")
+        raise NotMaximalError("the dropped nest is not a grouping of the pieces")
     added = frozenset(added)
     return rest | {added}, added
 
@@ -241,7 +244,7 @@ class Skeleton:
                     f"{len(cycle)} does not match shape {shape}"
                 )
             steps = tuple(
-                self._step_between(cycle[k], cycle[(k + 1) % len(cycle)])
+                self.step_between(cycle[k], cycle[(k + 1) % len(cycle)])
                 for k in range(len(cycle))
             )
             faces.append(TwoFace(nesting, cycle, steps, shape, template))
@@ -262,7 +265,8 @@ class Skeleton:
             cycle.append(at)
             leave, other = other, added
 
-    def _step_between(self, u, v):
+    def step_between(self, u, v):
+        """The signed step from vertex u to an adjacent vertex v."""
         key = (u, v) if u < v else (v, u)
         e = self.edge_index[key]
         return (e + 1) if u < v else -(e + 1)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "operahedra.cli"]
 
 
@@ -164,3 +166,97 @@ def test_check_morse_all_trees_with_jobs():
     r = run("check", "morse", "--all-trees", "4", "--jobs", "2")
     assert r.returncode == 0
     assert out_json(r)["all_certified"] is True
+
+
+def test_zero_sized_tree_reports_the_real_error():
+    r = run("gen", "--linear", "0")
+    assert r.returncode == 2
+    assert "error: p must be >= 1" in r.stderr
+    r = run("gen", "--corolla-children", "0")
+    assert r.returncode == 2
+    assert "error: need at least one child" in r.stderr
+
+
+PENTAGON_EXPR = "(((k:1 o1 t:1) o1 m:1) o1 n:1)"
+
+
+def test_rejected_generated_certificate_exits_3(monkeypatch, capsys, tmp_path):
+    from operahedra import cli, coherence
+    from operahedra.homotopy import VerifyResult
+
+    monkeypatch.setattr(
+        coherence, "verify_certificate", lambda c, cert: VerifyResult(False, 0, "forced")
+    )
+    code = cli.main(
+        [
+            "witness",
+            "--expr",
+            PENTAGON_EXPR,
+            "--w1",
+            "beta@0.1.2 beta@0.1",
+            "--w2",
+            "beta@0.1 beta@0.1.2 beta@1.2",
+            "--emit-cert",
+            str(tmp_path / "cert.json"),
+        ]
+    )
+    assert code == 3
+    assert "error: generated certificate rejected" in capsys.readouterr().err
+
+
+def _drop_object(docs):
+    del docs["word"]["object"]
+
+
+def _drop_remove(docs):
+    del docs["word"]["moves"][0]["remove"]
+
+
+def _drop_cert_moves(docs):
+    del docs["cert"]["moves"]
+
+
+def _step_out_of_range(docs):
+    docs["complex"]["cells"][0][1] = len(docs["complex"]["edges"]) + 1
+
+
+def _drop_vertices(docs):
+    del docs["complex"]["vertices"]
+
+
+def _null_step(docs):
+    docs["complex"]["cells"][0][1] = None
+
+
+@pytest.mark.parametrize(
+    "spoil, command",
+    [
+        (_drop_object, "coherence"),
+        (_drop_remove, "coherence"),
+        (_drop_cert_moves, "verify"),
+        (_step_out_of_range, "verify"),
+        (_drop_vertices, "verify"),
+        (_null_step, "verify"),
+    ],
+)
+def test_malformed_json_inputs_exit_2(spoil, command, tmp_path):
+    files = {name: tmp_path / f"{name}.json" for name in ("complex", "cert", "word")}
+    assert run("gen", "--linear", "4", "--complex-out", str(files["complex"])).returncode == 0
+    r = run("witness", "--expr", PENTAGON_EXPR, "--w1", "beta@0.1.2 beta@0.1",
+            "--w2", "beta@0.1 beta@0.1.2 beta@1.2", "--emit-cert", str(files["cert"]))
+    assert r.returncode == 0
+    docs = {name: json.loads(f.read_text()) for name, f in files.items() if f.exists()}
+    docs["word"] = {"object": PENTAGON_EXPR, "moves": [{"remove": [0, 1, 2]}]}
+    spoil(docs)
+    for name, doc in docs.items():
+        files[name].write_text(json.dumps(doc))
+
+    if command == "coherence":
+        r = run("check", "coherence", "--linear", "4",
+                "--w1", str(files["word"]), "--w2", str(files["word"]))
+    else:
+        r = run("check", "verify", "--complex", str(files["complex"]),
+                "--cert", str(files["cert"]))
+    assert r.returncode == 2
+    assert "error:" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -5,10 +5,11 @@ import pytest
 import oracles
 from operahedra import coherence as co
 from operahedra.errors import IllegalMoveError, NotParallelError, ParseError
-from operahedra.homotopy import Path, verify_certificate
-from operahedra.skeleton import build_skeleton
+from operahedra.homotopy import Path, validate_path, verify_certificate
+from operahedra.skeleton import build_skeleton, classify_flip, flip_nest
 from operahedra.trees import (
     PlanarTree,
+    enumerate_nests,
     enumerate_ordered_trees,
     expression_to_nesting,
     nesting_to_expression,
@@ -39,9 +40,7 @@ def test_pentagon_loop_is_closed_path_of_length_5():
     loop = co.MorphismWord(w1.expr, w1.moves + inverse)
     sk2, path = co.word_to_path(loop)
     assert len(path.steps) == 5
-    from operahedra.homotopy import path_end
-
-    assert path_end(sk2.complex, path) == path.start
+    assert validate_path(sk2.complex, path) == path.start
 
 
 def test_empty_word_is_empty_path():
@@ -292,3 +291,104 @@ def test_word_json_round_trip():
     back = co.word_from_json(data)
     assert back.moves == word.moves
     assert str(back.expr) == str(word.expr)
+
+
+# ---------------------------------------------------------------------------
+# The front ends agree: text, JSON and MorphismWord all feed one replay
+
+
+def _token(removed, sign, kind):
+    return f"{'-' if sign < 0 else ''}{kind}@{'.'.join(map(str, sorted(removed)))}"
+
+
+def test_front_ends_agree_on_random_walks():
+    rng = random.Random(23)
+    for p in range(1, 6):
+        for tree in enumerate_ordered_trees(p):
+            sk = build_skeleton(tree)
+            adj = [[] for _ in sk.vertices]
+            for e, (a, b) in enumerate(sk.complex.edges):
+                adj[a].append(e + 1)
+                adj[b].append(-(e + 1))
+            for _ in range(4):
+                start = at = rng.randrange(len(sk.vertices))
+                steps, tokens = [], []
+                for _ in range(rng.randrange(0, 12) if adj[at] else 0):
+                    s = rng.choice(adj[at])
+                    edge = sk.edges[abs(s) - 1]
+                    removed = edge.removed if s > 0 else edge.added
+                    sign = 1 if edge.forward == (s > 0) else -1
+                    tokens.append(_token(removed, sign, edge.kind))
+                    steps.append(s)
+                    at = sk.complex.step_ends(s)[1]
+                expr = sk.expression_of(start)
+                text_word = co.parse_word_text(expr, " ".join(tokens))
+                json_word = co.word_from_json(text_word.to_json())
+                assert json_word.moves == text_word.moves
+                assert json_word.moves == co.moves_from_steps(sk, start, steps)
+                assert str(json_word.expr) == str(expr)
+                path = Path(start, tuple(steps))
+                assert co.word_to_path(text_word)[1] == path
+                assert co.word_to_path(json_word)[1] == path
+
+
+def test_illegal_moves_report_one_index_from_every_front_end():
+    expr = parse_expression("(((k:1 o1 t:1) o1 m:1) o1 n:1)")
+    tree, prefix, visited = co.replay(
+        expr, [({0, 1, 2}, None, 1, "beta"), ({0, 1}, None, 1, "beta")]
+    )
+    current = visited[-1]
+    full = frozenset(range(tree.p))
+    nest = min(current - {full}, key=sorted)
+    _, partner = flip_nest(tree, current, nest)
+    kind, forward = classify_flip(tree, nest, partner)
+    sign = 1 if forward else -1
+    other_kind = "theta" if kind == "beta" else "beta"
+    absent = next(n for n in enumerate_nests(tree) if n not in current)
+    # (removed, added, sign, kind), the front ends that can state it, and
+    # the reason each must give
+    cases = [
+        ((absent, None, 1, "beta"), "text json word", "is not present"),
+        ((full, None, 1, "beta"), "text json word", "full nest cannot be flipped"),
+        ((nest, nest, sign, None), "json word", "does not complete"),
+        ((nest, None, sign, other_kind), "text", f"move is {kind}"),
+        ((nest, partner, -sign, kind), "text json word", "contradicts"),
+    ]
+    text = " ".join(_token(rm, sg, "beta") for rm, _, sg in prefix.moves)
+    for (removed, added, sg, knd), front_ends, reason in cases:
+        attempts = [lambda: co.replay(expr, [m + (None,) for m in prefix.moves]
+                                      + [(removed, added, sg, knd)])]
+        if "text" in front_ends:
+            attempts.append(
+                lambda: co.parse_word_text(expr, f"{text} {_token(removed, sg, knd)}")
+            )
+        if "json" in front_ends:
+            data = prefix.to_json()
+            data["moves"].append({"remove": sorted(removed), "sign": sg})
+            if added is not None:
+                data["moves"][-1]["add"] = sorted(added)
+            attempts.append(lambda: co.word_from_json(data))
+        if "word" in front_ends:
+            move = (removed, added if added is not None else frozenset(), sg)
+            attempts.append(
+                lambda: co.word_to_path(co.MorphismWord(expr, prefix.moves + (move,)))
+            )
+        for attempt in attempts:
+            with pytest.raises(IllegalMoveError) as err:
+                attempt()
+            assert err.value.index == 2
+            assert reason in str(err.value)
+
+
+def test_full_nest_move_is_illegal_under_python_O():
+    import subprocess
+    import sys
+
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "operahedra.cli", "check", "coherence",
+         "--expr", "(((k:1 o1 t:1) o1 m:1) o1 n:1)",
+         "--w1", "beta@0.1.2 beta@0.1.2.3", "--w2", ""],
+        capture_output=True, text=True, check=False,
+    )
+    assert r.returncode == 2
+    assert "error: move 1: the full nest cannot be flipped" in r.stderr

@@ -15,8 +15,8 @@ from operahedra.homotopy import (
     Path,
     apply_moves,
     invert_moves,
-    path_end,
     reduce_path,
+    validate_path,
     verify_certificate,
 )
 from operahedra.skeleton import build_skeleton
@@ -111,7 +111,7 @@ def test_reduce_random_words_property(seed, length):
     steps, end = random_walk(c, adj, rng, start, length)
     reduced = reduce_path(c, Path(start, tuple(steps)))
     assert reduced.steps == oracles.stack_reduce(steps)
-    assert path_end(c, reduced) == end
+    assert validate_path(c, reduced) == end
 
 
 def test_reduce_rejects_broken_chain():
