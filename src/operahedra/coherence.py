@@ -27,7 +27,7 @@ from .homotopy import (
     validate_path,
     verify_certificate,
 )
-from .skeleton import build_skeleton, classify_flip, flip_nest
+from .skeleton import FULL_NEST_FLIP, build_skeleton, classify_flip, flip_nest
 
 
 class MorphismWord(NamedTuple):
@@ -58,43 +58,74 @@ def replay(expr, moves):
     Each move is (removed, added, sign, kind); added, sign and kind may be
     None.  Stated fields must match the flip partner and the forward
     classification, unstated ones are filled in from them, and `visited`
-    holds the nestings passed through.  Raises IllegalMoveError.
+    holds the nestings passed through.  Raises IllegalMoveError.  This is
+    the only word reader that flips nests.
     """
     tree, current = trees.expression_to_nesting(expr)
     visited = [current]
     word = []
-    for k, (removed, added, sign, kind) in enumerate(moves):
-        removed = frozenset(removed)
+    for k, move in enumerate(moves):
+        removed = frozenset(move[0])
         if removed not in current:
-            raise IllegalMoveError(k, f"nest {sorted(removed)} is not present")
+            raise _unflippable(k, current, removed)
         try:
             current, partner = flip_nest(tree, current, removed)
         except EngineError as exc:
             raise IllegalMoveError(k, str(exc)) from exc
-        if added is not None and frozenset(added) != partner:
-            raise IllegalMoveError(
-                k, f"adding {sorted(added)} does not complete a maximal nesting"
-            )
-        got_kind, forward = classify_flip(tree, removed, partner)
-        if kind is not None and kind != got_kind:
-            raise IllegalMoveError(k, f"move is {got_kind}, stated as {kind}")
-        got_sign = 1 if forward else -1
-        if sign is not None and sign != got_sign:
-            raise IllegalMoveError(
-                k, f"sign {sign} contradicts the {got_kind} forward direction"
-            )
-        word.append((removed, partner, got_sign))
+        kind, forward = classify_flip(tree, removed, partner)
+        word.append((removed, partner, _checked_sign(k, move, partner, kind, forward)))
         visited.append(current)
     return tree, MorphismWord(expr, tuple(word)), visited
 
 
+def _unflippable(k, nesting, removed):
+    """The IllegalMoveError for move k when ``removed`` cannot be flipped at
+    a maximal nesting: it is absent, or it is the full nest."""
+    if removed in nesting:
+        return IllegalMoveError(k, FULL_NEST_FLIP)
+    return IllegalMoveError(k, f"nest {sorted(removed)} is not present")
+
+
+def _checked_sign(k, move, partner, kind, forward):
+    """The sign of move k = (removed, added, sign, kind) whose flip gives
+    ``partner`` with the classification (kind, forward); raises
+    IllegalMoveError when a stated field disagrees."""
+    _, added, sign, stated = move
+    if added is not None and frozenset(added) != partner:
+        raise IllegalMoveError(
+            k, f"adding {sorted(added)} does not complete a maximal nesting"
+        )
+    if stated is not None and stated != kind:
+        raise IllegalMoveError(k, f"move is {kind}, stated as {stated}")
+    got = 1 if forward else -1
+    if sign is not None and sign != got:
+        raise IllegalMoveError(
+            k, f"sign {sign} contradicts the {kind} forward direction"
+        )
+    return got
+
+
 def word_to_path(word):
-    """The combinatorial path a word traces on its operahedron skeleton."""
-    tree, _, visited = replay(word.expr, [(*m, None) for m in word.moves])
+    """The combinatorial path a word traces on its operahedron skeleton.
+
+    Each move is read off the skeleton's step table, with the checks of
+    `replay`; nothing is flipped.  Raises IllegalMoveError.
+    """
+    tree, nesting = trees.expression_to_nesting(word.expr)
     sk = build_skeleton(tree)
-    at = [sk.index[m] for m in visited]
-    steps = tuple(sk.step_between(u, v) for u, v in zip(at, at[1:]))
-    return sk, Path(at[0], steps)
+    at = start = sk.index[nesting]
+    steps = []
+    for k, (removed, added, sign) in enumerate(word.moves):
+        removed = frozenset(removed)
+        s = sk.out_step[at].get(removed)
+        if s is None:
+            raise _unflippable(k, sk.vertices[at], removed)
+        e = sk.edges[abs(s) - 1]
+        at, partner = sk.cross(s)
+        forward = e.forward == (s > 0)
+        _checked_sign(k, (removed, added, sign, None), partner, e.kind, forward)
+        steps.append(s)
+    return sk, Path(start, tuple(steps))
 
 
 def moves_from_steps(sk, start_vertex, steps):

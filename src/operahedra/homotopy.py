@@ -20,6 +20,21 @@ from .errors import (
 )
 
 
+def _json_int(value, field):
+    """``value`` when it is an int and not a bool; raises ParseError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+# the integer fields of each certificate move op, in constructor order
+_INT_FIELDS = {
+    "insert": ("position", "edge", "sign"),
+    "delete": ("position",),
+    "face": ("position", "cell", "matched", "offset"),
+}
+
+
 class Path(NamedTuple):
     start: int
     steps: tuple
@@ -33,10 +48,13 @@ class Path(NamedTuple):
 
     @classmethod
     def from_json(cls, data):
-        steps = tuple(
-            (e + 1) if sign > 0 else -(e + 1) for e, sign in data["steps"]
-        )
-        return cls(int(data["start"]), steps)
+        steps = []
+        for pair in data["steps"]:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"a step must be an [edge, sign] pair, got {pair!r}")
+            e, sign = (_json_int(x, "step") for x in pair)
+            steps.append((e + 1) if sign > 0 else -(e + 1))
+        return cls(_json_int(data["start"], "start"), tuple(steps))
 
 
 class BacktrackInsert(NamedTuple):
@@ -98,23 +116,18 @@ class Certificate(NamedTuple):
         try:
             moves = []
             for m in data["moves"]:
-                if m["op"] == "insert":
-                    step = (m["edge"] + 1) * (1 if m["sign"] > 0 else -1)
-                    moves.append(BacktrackInsert(m["position"], step))
-                elif m["op"] == "delete":
-                    moves.append(BacktrackDelete(m["position"]))
-                elif m["op"] == "face":
-                    moves.append(
-                        FaceSubstitute(
-                            m["position"],
-                            m["cell"],
-                            m["matched"],
-                            m["offset"],
-                            bool(m["reverse"]),
-                        )
-                    )
+                op = m["op"]
+                if op not in _INT_FIELDS:
+                    raise ParseError(f"unknown move op {op!r}")
+                ints = [_json_int(m[k], k) for k in _INT_FIELDS[op]]
+                if op == "insert":
+                    position, edge, sign = ints
+                    step = (edge + 1) * (1 if sign > 0 else -1)
+                    moves.append(BacktrackInsert(position, step))
+                elif op == "delete":
+                    moves.append(BacktrackDelete(*ints))
                 else:
-                    raise ParseError(f"unknown move op {m['op']!r}")
+                    moves.append(FaceSubstitute(*ints, bool(m["reverse"])))
             source = Path.from_json(data["source"])
             target = Path.from_json(data["target"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -443,68 +456,76 @@ class VerifyResult(NamedTuple):
 def verify_certificate(c, cert):
     """Replay a certificate move by move, validating everything from scratch.
 
-    Deliberately independent of the generator: it recomputes the vertex at
-    every position by walking from the start, and re-derives each face
-    substitution from the stored cell boundary.  Returns ok, or the index of
-    the first offending move.
+    Deliberately independent of the generator: it keeps `verts`, where
+    verts[i] is the vertex before position i of the current word, updates
+    it at every splice, and re-derives each face substitution from the
+    stored cell boundary.  Each move costs one lookup plus the length of
+    what it splices in, so the replay is linear in the certificate.
+    Returns ok, or the index of the first offending move.
     """
 
-    def vertex_at(word, start, k):
-        at = start
-        for s in word[:k]:
+    def chain(start, word):
+        """[start, head of word[0], ...], or None when the word breaks."""
+        verts = [start]
+        for s in word:
             tail, head = c.step_ends(s)
-            if tail != at:
+            if tail != verts[-1]:
                 return None
-            at = head
-        return at
-
-    def word_is_chain(word, start):
-        return vertex_at(word, start, len(word)) is not None
+            verts.append(head)
+        return verts
 
     source, target, moves = cert.source, cert.target, cert.moves
     if source.start != target.start:
         return VerifyResult(False, -1, "source and target start at different vertices")
-    if not word_is_chain(list(source.steps), source.start):
+    verts = chain(source.start, source.steps)
+    if verts is None:
         return VerifyResult(False, -1, "source path does not chain")
-    if not word_is_chain(list(target.steps), target.start):
+    if chain(target.start, target.steps) is None:
         return VerifyResult(False, -1, "target path does not chain")
 
     word = list(source.steps)
     for idx, m in enumerate(moves):
         if isinstance(m, BacktrackInsert):
-            if not 0 <= m.position <= len(word):
+            pos = m.position
+            if not 0 <= pos <= len(word):
                 return VerifyResult(False, idx, "insert position out of range")
             if m.step == 0 or abs(m.step) - 1 >= len(c.edges):
                 return VerifyResult(False, idx, "insert references a bad edge")
-            at = vertex_at(word, source.start, m.position)
-            if at is None or c.step_ends(m.step)[0] != at:
+            tail, head = c.step_ends(m.step)
+            if tail != verts[pos]:
                 return VerifyResult(False, idx, "inserted backtrack does not chain")
-            word[m.position : m.position] = [m.step, -m.step]
+            word[pos:pos] = [m.step, -m.step]
+            verts[pos + 1 : pos + 1] = [head, tail]
         elif isinstance(m, BacktrackDelete):
-            if not 0 <= m.position <= len(word) - 2:
+            pos = m.position
+            if not 0 <= pos <= len(word) - 2:
                 return VerifyResult(False, idx, "delete position out of range")
-            if word[m.position + 1] != -word[m.position]:
+            if word[pos + 1] != -word[pos]:
                 return VerifyResult(False, idx, "deleted pair is not a backtrack")
-            del word[m.position : m.position + 2]
+            del word[pos : pos + 2]
+            del verts[pos + 1 : pos + 3]
         elif isinstance(m, FaceSubstitute):
             if not 0 <= m.cell < len(c.cells):
                 return VerifyResult(False, idx, "face move references a bad cell")
             boundary = c.cells[m.cell]
-            n = len(boundary)
-            if not (0 <= m.matched <= n and 0 <= m.offset < n):
+            n, pos, k = len(boundary), m.position, m.matched
+            if not (0 <= k <= n and 0 <= m.offset < n):
                 return VerifyResult(False, idx, "face move parameters out of range")
-            if not 0 <= m.position <= len(word) - m.matched:
+            if not 0 <= pos <= len(word) - k:
                 return VerifyResult(False, idx, "face position out of range")
             if m.reverse:
                 boundary = tuple(-s for s in reversed(boundary))
             loop = boundary[m.offset :] + boundary[: m.offset]
-            if tuple(word[m.position : m.position + m.matched]) != loop[: m.matched]:
+            if tuple(word[pos : pos + k]) != loop[:k]:
                 return VerifyResult(False, idx, "matched subword differs from the cell")
-            at = vertex_at(word, source.start, m.position)
-            if at is None or c.step_ends(loop[0])[0] != at:
+            if c.step_ends(loop[0])[0] != verts[pos]:
                 return VerifyResult(False, idx, "face move anchored at the wrong vertex")
-            replacement = [-s for s in reversed(loop[m.matched :])]
-            word[m.position : m.position + m.matched] = replacement
+            replacement = [-s for s in reversed(loop[k:])]
+            spliced = chain(verts[pos], replacement)
+            if spliced is None or spliced[-1] != verts[pos + k]:
+                return VerifyResult(False, idx, "face boundary does not chain")
+            word[pos : pos + k] = replacement
+            verts[pos + 1 : pos + k + 1] = spliced[1:]
         else:
             return VerifyResult(False, idx, f"unknown move {m!r}")
 

@@ -21,6 +21,8 @@ THETA = "theta"
 
 SHAPE_BY_LENGTH = {4: "square", 5: "pentagon", 6: "hexagon"}
 
+FULL_NEST_FLIP = "the full nest cannot be flipped"
+
 
 class SkeletonEdge(NamedTuple):
     a: int
@@ -78,18 +80,31 @@ def flip_nest(tree, nesting, nest):
 
     Dropping a non-full nest leaves its parent with three immediate pieces;
     the quotient of those pieces is a three-vertex tree, so exactly two
-    groupings are connected and the flip swaps one for the other.  Raises
-    MalformedEdgeError for the full nest and NotMaximalError when the
-    nesting is not maximal around ``nest``.
+    groupings are connected and the flip swaps one for the other.
+
+    The nesting must be laminar, as `trees.pieces` requires.  One pass over
+    it finds the parent (the smallest enclosing nest) and the members
+    inside ``nest``; the three pieces are the two of ``nest`` and the rest
+    of the parent, which must itself be a member or a single vertex.
+    Raises MalformedEdgeError for the full nest and NotMaximalError when
+    the nesting is not maximal around ``nest``.
     """
-    rest = nesting - {nest}
-    enclosing = [m for m in rest if nest < m]
-    if not enclosing:
-        raise MalformedEdgeError("the full nest cannot be flipped")
-    parent = min(enclosing, key=len)
-    parts = trees.pieces(rest, parent)
-    if len(parts) != 3:
+    parent = None
+    inside = []
+    for m in nesting:
+        if nest < m:
+            if parent is None or len(m) < len(parent):
+                parent = m
+        elif m < nest:
+            inside.append(m)
+    if parent is None:
+        raise MalformedEdgeError(FULL_NEST_FLIP)
+    parts = trees.pieces(inside, nest)
+    sibling = parent - nest
+    if len(parts) != 2 or not (len(sibling) == 1 or sibling in nesting):
         raise NotMaximalError("dropping one nest must leave a ternary parent")
+    parts.append(sibling)
+    parts.sort(key=min)
     top = parts[0]  # pieces are ordered by min id; the first holds the top
     x, y = parts[1], parts[2]
     hx, hy = _holder(tree, parts, x), _holder(tree, parts, y)
@@ -108,7 +123,7 @@ def flip_nest(tree, nesting, nest):
     else:
         raise NotMaximalError("the dropped nest is not a grouping of the pieces")
     added = frozenset(added)
-    return rest | {added}, added
+    return (nesting - {nest}) | {added}, added
 
 
 def _holder(tree, parts, piece):
@@ -189,24 +204,30 @@ class Skeleton:
         self.index = {m: i for i, m in enumerate(self.vertices)}
         full = trees.full_nest(tree)
 
-        # across[i][nest] = (j, added): flipping nest at vertex i gives vertex j.
-        # Each edge is flipped once, from its smaller end, and recorded at both.
-        across = [{} for _ in self.vertices]
+        # out_step[i][nest] is the signed step that leaves vertex i by
+        # flipping nest.  Each edge is flipped once, from its smaller end, and
+        # recorded at both; the row holds the vertex across until the edges
+        # are numbered.
+        out_step = [{} for _ in self.vertices]
         edge_map = {}
         for i, m in enumerate(self.vertices):
             for nest in m - {full}:
-                if nest in across[i]:
+                if nest in out_step[i]:
                     continue
                 flipped, added = flip_nest(tree, m, nest)
                 j = self.index[flipped]
-                across[i][nest] = (j, added)
-                across[j][added] = (i, nest)
+                out_step[i][nest] = j
+                out_step[j][added] = i
                 kind, forward = classify_flip(tree, nest, added)
                 edge_map[(i, j)] = SkeletonEdge(i, j, nest, added, kind, forward)
-        self.edges = [edge_map[k] for k in sorted(edge_map)]
-        self.edge_index = {(e.a, e.b): idx for idx, e in enumerate(self.edges)}
+        edge_index = {key: idx for idx, key in enumerate(sorted(edge_map))}
+        self.edges = [edge_map[key] for key in edge_index]
+        for i, row in enumerate(out_step):
+            for nest, j in row.items():
+                row[nest] = edge_index[(i, j)] + 1 if i < j else -edge_index[(j, i)] - 1
+        self.out_step = out_step
 
-        self.faces = self._build_faces(across)
+        self.faces = self._build_faces()
         self.complex = Complex2(
             len(self.vertices),
             [(e.a, e.b) for e in self.edges],
@@ -218,58 +239,62 @@ class Skeleton:
 
     # -- construction ---------------------------------------------------------
 
-    def _build_faces(self, across):
+    def _build_faces(self):
         """Every 2-face, each once: a face nesting is a vertex's nesting less
         two of its non-full nests, and its boundary walks from the vertex
         across those two free nests alternately.  Each face is first met at
         its least vertex; its cycle starts there and runs towards the
         smaller of the two neighbours."""
         tree = self.tree
-        cycles = {}
+        walks = {}
         for i, m in enumerate(self.vertices):
-            for n1, n2 in combinations(across[i], 2):
+            row = self.out_step[i]
+            for n1, n2 in combinations(row, 2):
                 nesting = m - {n1, n2}
-                if nesting in cycles:
+                if nesting in walks:
                     continue
-                if across[i][n2][0] < across[i][n1][0]:
+                if self.cross(row[n2])[0] < self.cross(row[n1])[0]:
                     n1, n2 = n2, n1
-                cycles[nesting] = self._walk_face(across, i, n1, n2)
+                walks[nesting] = self._walk_face(i, n1, n2)
         faces = []
-        for nesting in sorted(cycles, key=trees.nesting_sort_key):
+        for nesting in sorted(walks, key=trees.nesting_sort_key):
             shape, template = face_shape(tree, nesting)
-            cycle = cycles[nesting]
+            cycle, steps = walks[nesting]
             if SHAPE_BY_LENGTH.get(len(cycle)) != shape:
                 raise ShapeError(
                     f"face {trees.nesting_to_json(nesting)}: boundary length "
                     f"{len(cycle)} does not match shape {shape}"
                 )
-            steps = tuple(
-                self.step_between(cycle[k], cycle[(k + 1) % len(cycle)])
-                for k in range(len(cycle))
-            )
             faces.append(TwoFace(nesting, cycle, steps, shape, template))
         return faces
 
-    @staticmethod
-    def _walk_face(across, start, n1, n2):
-        """The boundary cycle from `start` crossing n1 first, then the two
-        free nests in turn; a boundary is at most a hexagon."""
-        cycle = [start]
+    def _walk_face(self, start, n1, n2):
+        """The boundary cycle and steps from `start` crossing n1 first, then
+        the two free nests in turn; a boundary is at most a hexagon."""
+        cycle, steps = [start], []
         at, leave, other = start, n1, n2
         while True:
-            at, added = across[at][leave]
+            s = self.out_step[at][leave]
+            steps.append(s)
+            at, added = self.cross(s)
             if at == start:
-                return tuple(cycle)
+                return tuple(cycle), tuple(steps)
             if len(cycle) == 6:
                 raise ShapeError("2-face boundary does not close within six steps")
             cycle.append(at)
             leave, other = other, added
 
+    def cross(self, s):
+        """(vertex, nest) that the signed step s arrives at and adds."""
+        e = self.edges[abs(s) - 1]
+        return (e.b, e.added) if s > 0 else (e.a, e.removed)
+
     def step_between(self, u, v):
         """The signed step from vertex u to an adjacent vertex v."""
-        key = (u, v) if u < v else (v, u)
-        e = self.edge_index[key]
-        return (e + 1) if u < v else -(e + 1)
+        for s in self.out_step[u].values():
+            if self.cross(s)[0] == v:
+                return s
+        raise MalformedEdgeError(f"vertices {u} and {v} are not adjacent")
 
     # -- queries ---------------------------------------------------------------
 

@@ -297,13 +297,19 @@ def pieces(nesting, nest):
     The pieces are the maximal members of the family properly contained in
     ``nest``, together with singletons for the vertices of ``nest`` covered
     by none of them.  They partition ``nest``; ordered by minimum id.
+
+    The family must be laminar (pairwise nested or disjoint), as every
+    nesting is.  Then a contained member is maximal exactly when it misses
+    every larger one, so one sweep by decreasing size keeps each member
+    that misses all those kept before it.
     """
-    inside = [m for m in nesting if m < nest]
-    maximal = [m for m in inside if not any(m < other for other in inside)]
+    parts = []
     covered = set()
-    for m in maximal:
-        covered |= m
-    parts = maximal + [frozenset([v]) for v in nest - covered]
+    for m in sorted((m for m in nesting if m < nest), key=len, reverse=True):
+        if covered.isdisjoint(m):
+            parts.append(m)
+            covered |= m
+    parts += [frozenset([v]) for v in nest - covered]
     parts.sort(key=min)
     return parts
 

@@ -5,9 +5,11 @@ different algorithms and different data representations than the package:
 subset enumeration instead of recursive decomposition, explicit binary
 trees instead of nestings, a stack instead of windowed cancellation, and
 rational Gaussian elimination instead of integer Smith normal form.  The
-cell-corner scans at the end are the engine's original quadratic ones, kept
-as the reference for its corner index; the f-vector closed forms carry the
-checks past the sizes the brute-force enumeration reaches.
+cell-corner scans, the pairwise piece scan and the certificate verifier at
+the end are the engine's original quadratic ones, kept as the references
+for its corner index, its one-sweep pieces and its vertex-prefix verifier;
+the f-vector closed forms carry the checks past the sizes the brute-force
+enumeration reaches.
 """
 
 import itertools
@@ -374,3 +376,86 @@ def morse_brute(c, orientation):
             return ("face_not_two_arcs", {"cell": ci, "sources": sources, "sinks": snks})
         faces.append((sources[0], snks[0]))
     return (tuple(order), sinks[0], tuple(faces), tuple(witnesses))
+
+
+# ---------------------------------------------------------------------------
+# Pieces and certificate replay by their quadratic definitions
+
+
+def pieces_pairwise(nesting, nest):
+    """Immediate pieces of ``nest`` by definition: the members properly
+    inside it that lie in no other such member, found by comparing every
+    pair, plus the vertices they leave uncovered as singletons; ordered by
+    least vertex."""
+    inside = [m for m in nesting if m < nest]
+    maximal = [m for m in inside if not any(m < other for other in inside)]
+    covered = set().union(*maximal)
+    return sorted(maximal + [frozenset([v]) for v in nest - covered], key=min)
+
+
+def verify_certificate_quadratic(c, cert):
+    """The certificate verifier that recomputes the vertex at a position by
+    walking the current word from the start for every move; returns
+    (ok, reject_index, reason).  Moves are told apart by type name."""
+
+    def vertex_at(word, start, k):
+        at = start
+        for s in word[:k]:
+            tail, head = c.step_ends(s)
+            if tail != at:
+                return None
+            at = head
+        return at
+
+    source, target, moves = cert.source, cert.target, cert.moves
+    if source.start != target.start:
+        return (False, -1, "source and target start at different vertices")
+    if vertex_at(source.steps, source.start, len(source.steps)) is None:
+        return (False, -1, "source path does not chain")
+    if vertex_at(target.steps, target.start, len(target.steps)) is None:
+        return (False, -1, "target path does not chain")
+
+    word = list(source.steps)
+    for idx, m in enumerate(moves):
+        kind = type(m).__name__
+        if kind == "BacktrackInsert":
+            if not 0 <= m.position <= len(word):
+                return (False, idx, "insert position out of range")
+            if m.step == 0 or abs(m.step) - 1 >= len(c.edges):
+                return (False, idx, "insert references a bad edge")
+            at = vertex_at(word, source.start, m.position)
+            if at is None or c.step_ends(m.step)[0] != at:
+                return (False, idx, "inserted backtrack does not chain")
+            word[m.position : m.position] = [m.step, -m.step]
+        elif kind == "BacktrackDelete":
+            if not 0 <= m.position <= len(word) - 2:
+                return (False, idx, "delete position out of range")
+            if word[m.position + 1] != -word[m.position]:
+                return (False, idx, "deleted pair is not a backtrack")
+            del word[m.position : m.position + 2]
+        elif kind == "FaceSubstitute":
+            if not 0 <= m.cell < len(c.cells):
+                return (False, idx, "face move references a bad cell")
+            boundary = c.cells[m.cell]
+            n = len(boundary)
+            if not (0 <= m.matched <= n and 0 <= m.offset < n):
+                return (False, idx, "face move parameters out of range")
+            if not 0 <= m.position <= len(word) - m.matched:
+                return (False, idx, "face position out of range")
+            if m.reverse:
+                boundary = tuple(-s for s in reversed(boundary))
+            loop = boundary[m.offset :] + boundary[: m.offset]
+            if tuple(word[m.position : m.position + m.matched]) != loop[: m.matched]:
+                return (False, idx, "matched subword differs from the cell")
+            at = vertex_at(word, source.start, m.position)
+            if at is None or c.step_ends(loop[0])[0] != at:
+                return (False, idx, "face move anchored at the wrong vertex")
+            word[m.position : m.position + m.matched] = [
+                -s for s in reversed(loop[m.matched :])
+            ]
+        else:
+            return (False, idx, f"unknown move {m!r}")
+
+    if tuple(word) != target.steps:
+        return (False, len(moves), "replay does not end at the target word")
+    return (True, -1, "")

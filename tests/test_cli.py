@@ -228,6 +228,18 @@ def _null_step(docs):
     docs["complex"]["cells"][0][1] = None
 
 
+def _string_position(docs):
+    docs["cert"]["moves"][0]["position"] = "x"
+
+
+def _bool_position(docs):
+    docs["cert"]["moves"][0]["position"] = True
+
+
+def _non_list_step(docs):
+    docs["cert"]["source"]["steps"][0] = 5
+
+
 @pytest.mark.parametrize(
     "spoil, command",
     [
@@ -237,6 +249,9 @@ def _null_step(docs):
         (_step_out_of_range, "verify"),
         (_drop_vertices, "verify"),
         (_null_step, "verify"),
+        (_string_position, "verify"),
+        (_bool_position, "verify"),
+        (_non_list_step, "verify"),
     ],
 )
 def test_malformed_json_inputs_exit_2(spoil, command, tmp_path):

@@ -392,3 +392,51 @@ def test_full_nest_move_is_illegal_under_python_O():
     )
     assert r.returncode == 2
     assert "error: move 1: the full nest cannot be flipped" in r.stderr
+
+
+# ---------------------------------------------------------------------------
+# word_to_path reads the step table and replays nothing
+
+
+def test_word_to_path_follows_replay_on_random_walks():
+    rng = random.Random(61)
+    for p in range(1, 7):
+        for tree in enumerate_ordered_trees(p):
+            sk = build_skeleton(tree)
+            full = frozenset(range(tree.p))
+            for _ in range(3):
+                start = rng.randrange(len(sk.vertices))
+                current, moves = sk.vertices[start], []
+                for _ in range(rng.randrange(0, 15) if p > 2 else 0):
+                    nest = rng.choice(sorted(current - {full}, key=sorted))
+                    current, _ = flip_nest(tree, current, nest)
+                    moves.append((nest, None, None, None))
+                expr = sk.expression_of(start)
+                _, word, visited = co.replay(expr, moves)
+                sk2, path = co.word_to_path(word)
+                at = [path.start]
+                for s in path.steps:
+                    tail, head = sk2.complex.step_ends(s)
+                    assert tail == at[-1]
+                    at.append(head)
+                assert at == [sk2.index[m] for m in visited]
+
+
+def test_word_to_path_and_decide_do_not_flip_nests(monkeypatch):
+    from operahedra import skeleton
+
+    expr = parse_expression("(((k:1 o1 t:1) o1 m:1) o1 n:1)")
+    w1 = co.parse_word_text(expr, "beta@0.1.2 beta@0.1")
+    w2 = co.parse_word_text(expr, "beta@0.1 beta@0.1.2 beta@1.2")
+    sk = build_skeleton(expression_to_nesting(expr)[0])
+    sk.homotopy_builder()
+    before = (co.word_to_path(w1)[1], co.decide_coherence(w1, w2))
+
+    def refuse(*args):
+        raise RuntimeError("flip_nest called")
+
+    monkeypatch.setattr(skeleton, "flip_nest", refuse)
+    monkeypatch.setattr(co, "flip_nest", refuse)
+    with pytest.raises(RuntimeError):
+        co.parse_word_text(expr, "beta@0.1")
+    assert (co.word_to_path(w1)[1], co.decide_coherence(w1, w2)) == before

@@ -409,3 +409,109 @@ def test_invert_moves_round_trip():
     inverse = invert_moves(c, cert.source, cert.moves)
     back = apply_moves(c, cert.target, inverse)
     assert back.steps == cert.source.steps
+
+
+# ---------------------------------------------------------------------------
+# The vertex-prefix verifier against the quadratic one it replaced: equal
+# (ok, reject_index, reason) on generated certificates and seeded forgeries,
+# and a number of step_ends calls linear in the size of the certificate
+
+
+def _certificate(sk, rng, length):
+    """A generated certificate between a random walk and a second walk that
+    goes out, comes back and then follows the first."""
+    c = sk.complex
+    adj = steps_at(c)
+    start = rng.randrange(c.vertex_count)
+    s1, _ = random_walk(c, adj, rng, start, length)
+    s2, _ = random_walk(c, adj, rng, start, length)
+    s2 = s2 + [-s for s in reversed(s2)] + s1
+    return sk.homotopy_builder().general(Path(start, tuple(s1)), Path(start, tuple(s2)))
+
+
+def _forgeries(c, cert, rng, count):
+    """Certificates with one move changed: a position shifted by one, a
+    cell, offset or direction changed, a face move made to match nothing at
+    another offset, or a move dropped or repeated."""
+    out = []
+    moves = cert.moves
+    for _ in range(count):
+        idx = rng.randrange(len(moves))
+        m = moves[idx]
+        fields = ["position+", "position-", "drop", "repeat"]
+        if isinstance(m, FaceSubstitute):
+            fields += ["cell", "offset", "reverse", "unmatched"]
+        field = rng.choice(fields)
+        if field == "drop":
+            forged = moves[:idx] + moves[idx + 1 :]
+        elif field == "repeat":
+            forged = moves[: idx + 1] + moves[idx:]
+        else:
+            if field == "position+":
+                m = m._replace(position=m.position + 1)
+            elif field == "position-":
+                m = m._replace(position=m.position - 1)
+            elif field == "cell":
+                m = m._replace(cell=rng.randrange(len(c.cells) + 1))
+            elif field == "offset":
+                m = m._replace(offset=rng.randrange(len(c.cells[m.cell]) + 1))
+            elif field == "unmatched":
+                m = m._replace(matched=0, offset=(m.offset + 1) % len(c.cells[m.cell]))
+            else:
+                m = m._replace(reverse=not m.reverse)
+            forged = moves[:idx] + (m,) + moves[idx + 1 :]
+        out.append(cert._replace(moves=forged))
+    return out
+
+
+def test_verifier_agrees_with_quadratic_oracle():
+    rng = random.Random(41)
+    outcomes = set()
+    small = [t for p in range(1, 6) for t in enumerate_ordered_trees(p)]
+    for tree in small + [PlanarTree.linear(6)]:
+        sk = build_skeleton(tree)
+        c = sk.complex
+        if not c.edges:
+            continue
+        for length in (2, 6, 12):
+            cert = _certificate(sk, rng, length)
+            assert tuple(verify_certificate(c, cert)) == (True, -1, "")
+            assert oracles.verify_certificate_quadratic(c, cert) == (True, -1, "")
+            if not cert.moves:
+                continue
+            for forged in _forgeries(c, cert, rng, 15):
+                got = tuple(verify_certificate(c, forged))
+                assert got == oracles.verify_certificate_quadratic(c, forged)
+                outcomes.add(got[2])
+    # the forgeries reach accepted replays and the main rejection reasons
+    for reason in (
+        "",
+        "matched subword differs from the cell",
+        "face move anchored at the wrong vertex",
+        "inserted backtrack does not chain",
+        "deleted pair is not a backtrack",
+        "replay does not end at the target word",
+    ):
+        assert reason in outcomes
+
+
+class CountingComplex(cx.Complex2):
+    """A Complex2 that counts its step_ends calls."""
+
+    def __init__(self, c):
+        super().__init__(c.vertex_count, c.edges, c.cells)
+        self.calls = 0
+
+    def step_ends(self, s):
+        self.calls += 1
+        return super().step_ends(s)
+
+
+def test_verifier_step_lookups_are_linear_in_certificate_size():
+    sk = build_skeleton(PlanarTree.linear(7))
+    cert = _certificate(sk, random.Random(320), 320)
+    assert len(cert.moves) >= 3000
+    c = CountingComplex(sk.complex)
+    assert verify_certificate(c, cert).ok
+    size = len(cert.moves) + len(cert.source.steps) + len(cert.target.steps)
+    assert c.calls <= 8 * size

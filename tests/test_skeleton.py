@@ -4,7 +4,7 @@ import os
 import pytest
 
 import oracles
-from operahedra import complexes
+from operahedra import complexes, trees
 from operahedra.errors import MalformedEdgeError
 from operahedra.skeleton import (
     BETA,
@@ -222,3 +222,37 @@ def test_dot_export_mentions_both_kinds():
     assert "theta" in dot and "digraph" in dot
     dot = build_skeleton(PlanarTree.linear(3)).to_dot()
     assert "beta" in dot
+
+
+def test_pieces_sweep_matches_pairwise_definition():
+    """One sweep by decreasing size finds the same pieces as comparing every
+    pair, for every nest of every vertex and face nesting with p <= 6."""
+    checked = 0
+    for p in range(1, 7):
+        for tree in enumerate_ordered_trees(p):
+            sk = build_skeleton(tree)
+            for nesting in list(sk.vertices) + [f.nesting for f in sk.faces]:
+                for nest in nesting:
+                    got = trees.pieces(nesting, nest)
+                    assert got == oracles.pieces_pairwise(nesting, nest)
+                    checked += 1
+    assert checked > 10000
+
+
+def test_step_table_matches_edges():
+    """out_step[i][nest] leaves vertex i across the edge that flips nest,
+    and step_between answers from it."""
+    mixed = PlanarTree([(1, 3), (2,), (), ()])
+    for tree in [PlanarTree.linear(5), PlanarTree.corolla(4), mixed]:
+        sk = build_skeleton(tree)
+        full = trees.full_nest(tree)
+        for i, m in enumerate(sk.vertices):
+            assert set(sk.out_step[i]) == m - {full}
+            for nest, s in sk.out_step[i].items():
+                tail, head = sk.complex.step_ends(s)
+                assert tail == i
+                e = sk.edges[abs(s) - 1]
+                assert (e.removed if s > 0 else e.added) == nest
+                assert sk.step_between(i, head) == s
+        with pytest.raises(MalformedEdgeError):
+            sk.step_between(0, 0)
