@@ -1,7 +1,8 @@
 """Command-line surface: generate skeletons, run checks, emit certificates.
 
 Exit codes: 0 success/certified, 1 refuted or counterexample found, 2 bad
-input or parse error, 3 certificate rejected, 4 inconclusive.  Reports are
+input or parse error, 3 certificate rejected, 4 inconclusive (including a
+certificate the generator could not build).  Reports are
 canonical JSON (sorted keys, no timing) so identical inputs produce byte-
 identical files; wall-clock timing goes to stderr.
 """
@@ -17,7 +18,13 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import complexes, coherence, geometry, trees
-from .errors import CertificateRejectedError, EngineError, NotGenericError, ParseError
+from .errors import (
+    CertificateRejectedError,
+    EngineError,
+    GeneratorError,
+    NotGenericError,
+    ParseError,
+)
 from .homotopy import Certificate, verify_certificate
 from .skeleton import build_skeleton
 
@@ -167,8 +174,9 @@ def _morse_one_tree(tree):
 def cmd_check_morse(args):
     batch = _tree_jobs(args)
     if batch is not None:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        jobs = min(args.jobs, os.cpu_count() or 1, len(batch))
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_morse_one_tree, batch))
         else:
             results = [_morse_one_tree(t) for t in batch]
@@ -482,6 +490,8 @@ def main(argv=None):
             return EXIT_REFUTED
         if isinstance(exc, CertificateRejectedError):
             return EXIT_REJECTED
+        if isinstance(exc, GeneratorError):
+            return EXIT_INCONCLUSIVE
         return EXIT_INPUT
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

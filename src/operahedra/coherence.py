@@ -14,7 +14,6 @@ from typing import NamedTuple
 from . import complexes, trees
 from .errors import (
     CertificateRejectedError,
-    EngineError,
     IllegalMoveError,
     NotParallelError,
     ParseError,
@@ -27,7 +26,7 @@ from .homotopy import (
     validate_path,
     verify_certificate,
 )
-from .skeleton import FULL_NEST_FLIP, build_skeleton, classify_flip, flip_nest
+from .skeleton import FULL_NEST_FLIP, build_skeleton
 
 
 class MorphismWord(NamedTuple):
@@ -46,6 +45,10 @@ class MorphismWord(NamedTuple):
         }
 
 
+class _WalkedWord(MorphismWord):
+    """A word made by `replay`; its `walk` is the (skeleton, path) it took."""
+
+
 class CoherenceVerdict(NamedTuple):
     equal: bool
     certificate: object
@@ -53,29 +56,35 @@ class CoherenceVerdict(NamedTuple):
 
 
 def replay(expr, moves):
-    """Apply moves to the nesting of ``expr``; return (tree, word, visited).
+    """Walk moves from the nesting of ``expr``; return (tree, word, visited).
 
     Each move is (removed, added, sign, kind); added, sign and kind may be
-    None.  Stated fields must match the flip partner and the forward
-    classification, unstated ones are filled in from them, and `visited`
-    holds the nestings passed through.  Raises IllegalMoveError.  This is
-    the only word reader that flips nests.
+    None.  The expression is unfolded once and each move is read off the
+    skeleton's step table: stated fields must match the edge's far nest and
+    its classification, unstated ones are filled in from them, and
+    `visited` holds the nestings passed through.  The word carries the
+    skeleton and path walked.  Raises IllegalMoveError.  This is the only
+    word reader.
     """
-    tree, current = trees.expression_to_nesting(expr)
-    visited = [current]
-    word = []
+    tree, nesting = trees.expression_to_nesting(expr)
+    sk = build_skeleton(tree)
+    at = start = sk.index[nesting]
+    visited = [nesting]
+    steps, word = [], []
     for k, move in enumerate(moves):
         removed = frozenset(move[0])
-        if removed not in current:
-            raise _unflippable(k, current, removed)
-        try:
-            current, partner = flip_nest(tree, current, removed)
-        except EngineError as exc:
-            raise IllegalMoveError(k, str(exc)) from exc
-        kind, forward = classify_flip(tree, removed, partner)
-        word.append((removed, partner, _checked_sign(k, move, partner, kind, forward)))
-        visited.append(current)
-    return tree, MorphismWord(expr, tuple(word)), visited
+        s = sk.out_step[at].get(removed)
+        if s is None:
+            raise _unflippable(k, sk.vertices[at], removed)
+        e = sk.edges[abs(s) - 1]
+        at, partner = sk.cross(s)
+        sign = _checked_sign(k, move, partner, e.kind, e.forward == (s > 0))
+        word.append((removed, partner, sign))
+        steps.append(s)
+        visited.append(sk.vertices[at])
+    walked = _WalkedWord(expr, tuple(word))
+    walked.walk = (sk, Path(start, tuple(steps)))
+    return tree, walked, visited
 
 
 def _unflippable(k, nesting, removed):
@@ -87,7 +96,7 @@ def _unflippable(k, nesting, removed):
 
 
 def _checked_sign(k, move, partner, kind, forward):
-    """The sign of move k = (removed, added, sign, kind) whose flip gives
+    """The sign of move k = (removed, added, sign, kind) whose step adds
     ``partner`` with the classification (kind, forward); raises
     IllegalMoveError when a stated field disagrees."""
     _, added, sign, stated = move
@@ -106,26 +115,15 @@ def _checked_sign(k, move, partner, kind, forward):
 
 
 def word_to_path(word):
-    """The combinatorial path a word traces on its operahedron skeleton.
+    """(skeleton, path) of the walk a word traces on its operahedron.
 
-    Each move is read off the skeleton's step table, with the checks of
-    `replay`; nothing is flipped.  Raises IllegalMoveError.
+    A word made by `replay` carries it; a word built by hand is replayed
+    once here.  Raises IllegalMoveError.
     """
-    tree, nesting = trees.expression_to_nesting(word.expr)
-    sk = build_skeleton(tree)
-    at = start = sk.index[nesting]
-    steps = []
-    for k, (removed, added, sign) in enumerate(word.moves):
-        removed = frozenset(removed)
-        s = sk.out_step[at].get(removed)
-        if s is None:
-            raise _unflippable(k, sk.vertices[at], removed)
-        e = sk.edges[abs(s) - 1]
-        at, partner = sk.cross(s)
-        forward = e.forward == (s > 0)
-        _checked_sign(k, (removed, added, sign, None), partner, e.kind, forward)
-        steps.append(s)
-    return sk, Path(start, tuple(steps))
+    walk = getattr(word, "walk", None)  # a copy by `_replace` carries none
+    if walk is None:
+        walk = replay(word.expr, [(*move, None) for move in word.moves])[1].walk
+    return walk
 
 
 def moves_from_steps(sk, start_vertex, steps):

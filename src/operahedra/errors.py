@@ -61,6 +61,11 @@ class CertificateRejectedError(EngineError):
     """A generated certificate that the independent verifier rejects: signals a generator bug."""
 
 
+class GeneratorError(EngineError):
+    """A certificate move that the certified Morse data promises but the
+    generator cannot build: signals a generator bug."""
+
+
 class NotGenericError(EngineError):
     """A direction vector tied on some edge; carries the offending edge id."""
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 from .complexes import CornerIndex, MorseCertificate, step_ascends, step_from
 from .errors import (
     BrokenChainError,
+    GeneratorError,
     NotOrientedError,
     NotParallelError,
     ParseError,
@@ -265,7 +266,7 @@ class HomotopyBuilder:
             for offset in range(n):
                 if rotated_boundary(self.c, ci, offset, reverse) == loop:
                     return FaceSubstitute(position, ci, len(matched_word), offset, reverse)
-        raise AssertionError("matched/replacement pair is not a boundary rotation")
+        raise GeneratorError("matched/replacement pair is not a boundary rotation")
 
     # -- the unique-sink induction ------------------------------------------
 
@@ -336,7 +337,7 @@ class HomotopyBuilder:
                     prev[w] = v
                     queue.append(w)
         if e2 not in prev:
-            raise AssertionError(f"outgoing link of {x} does not join {e1} and {e2}")
+            raise GeneratorError(f"outgoing link of {x} does not join {e1} and {e2}")
         path = [e2]
         while path[-1] != e1:
             path.append(prev[path[-1]])

@@ -298,9 +298,6 @@ class Skeleton:
 
     # -- queries ---------------------------------------------------------------
 
-    def vertex_of(self, nesting):
-        return self.index[frozenset(frozenset(n) for n in nesting)]
-
     def expression_of(self, vid):
         return trees.nesting_to_expression(self.tree, self.vertices[vid])
 

@@ -418,10 +418,6 @@ def nesting_to_json(nesting):
     return sorted([sorted(n) for n in nesting], key=lambda ids: (len(ids), ids))
 
 
-def nesting_from_json(data):
-    return frozenset(frozenset(int(v) for v in ids) for ids in data)
-
-
 # ---------------------------------------------------------------------------
 # Operadic expressions
 
@@ -562,58 +558,85 @@ def expression_to_nesting(expr):
     Each generator occurrence becomes a vertex; each composition node grafts
     the right tree into the chosen input slot of the left tree and records
     one nest: the set of generator occurrences it combines.
+
+    One post-order pass over an explicit stack, so any depth unfolds.
+    Occurrences are numbered left to right, so a nest is a range of them
+    and the root is occurrence 0.  A finished subexpression is kept as its
+    root, its first occurrence and its open inputs, as runs (occurrence,
+    first input, end input) in planar order.  A composition finds its slot
+    by scanning runs from the nearer end and splices the right runs in
+    place of that one input; no subtree is walked again.
     """
-    nodes = []  # mutable records: [label, arity, children list, slots list]
-    nests_occ = []
-
-    def walk_leaves(v):
-        # planar sequence of open inputs of the subtree at v; all are leaves
-        _, _, cs, ls = nodes[v]
-        for seg in range(len(cs) + 1):
-            for j in range(ls[seg]):
-                yield v, seg, j
-            if seg < len(cs):
-                yield from walk_leaves(cs[seg])
-
-    def locate_leaf(root, slot):
-        for count, entry in enumerate(walk_leaves(root), start=1):
-            if count == slot:
-                return entry
-        raise AssertionError("slot within arity but not found")
-
-    def build(e):
-        if isinstance(e, Generator):
-            nid = len(nodes)
-            nodes.append([e.name, e.arity, [], [e.arity]])
-            return nid, frozenset([nid])
-        lroot, locc = build(e.left)
-        rroot, rocc = build(e.right)
-        u, seg, offset = locate_leaf(lroot, e.slot)
-        rec = nodes[u]
-        count = rec[3][seg]
-        rec[2].insert(seg, rroot)
-        rec[3][seg : seg + 1] = [offset, count - offset - 1]
-        occ = locc | rocc
-        nests_occ.append(occ)
-        return lroot, occ
-
-    root, _ = build(expr)
-
-    order = []
-    stack = [root]
+    labels, arities = [], []
+    grafts = []  # (occurrence, input, occurrence grafted there)
+    ranges = []  # (first, end) occurrences of each composition
+    done = []  # (root, first occurrence, runs) of finished subexpressions
+    stack = [expr]  # expressions, and (slot, left arity) for a pending graft
     while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(nodes[v][2]))
-    idmap = {nid: i for i, nid in enumerate(order)}
+        e = stack.pop()
+        if type(e) is tuple:
+            root, _, right = done.pop()
+            _, first, runs = done[-1]
+            k, i = _locate_input(runs, *e)
+            g, lo, hi = runs[k]
+            grafts.append((g, i, root))
+            runs[k : k + 1] = (
+                ([(g, lo, i)] if lo < i else [])
+                + right
+                + ([(g, i + 1, hi)] if i + 1 < hi else [])
+            )
+            ranges.append((first, len(labels)))
+        elif isinstance(e, Generator):
+            g = len(labels)
+            labels.append(e.name)
+            arities.append(e.arity)
+            done.append((g, g, [(g, 0, e.arity)]))
+        else:
+            stack += ((e.slot, e.left.arity), e.right, e.left)
 
-    tree = PlanarTree(
-        children=[tuple(idmap[c] for c in nodes[nid][2]) for nid in order],
-        leaf_slots=[tuple(nodes[nid][3]) for nid in order],
-        labels=[nodes[nid][0] for nid in order],
-    )
-    nesting = frozenset(frozenset(idmap[v] for v in occ) for occ in nests_occ)
+    kids = [[] for _ in labels]
+    for g, i, child in grafts:
+        kids[g].append((i, child))
+    order = []
+    stack = [0]
+    while stack:
+        g = stack.pop()
+        order.append(g)
+        kids[g].sort()
+        stack.extend(child for _, child in reversed(kids[g]))
+    idmap = [0] * len(order)
+    for v, g in enumerate(order):
+        idmap[g] = v
+
+    children, leaf_slots = [], []
+    for g in order:
+        slots, prev = [], 0
+        for i, _ in kids[g]:
+            slots.append(i - prev)
+            prev = i + 1
+        slots.append(arities[g] - prev)
+        children.append([idmap[child] for _, child in kids[g]])
+        leaf_slots.append(slots)
+    tree = PlanarTree(children, leaf_slots, [labels[g] for g in order])
+    nesting = frozenset(frozenset(idmap[first:end]) for first, end in ranges)
     return tree, nesting
+
+
+def _locate_input(runs, slot, arity):
+    """(run index, input) of the slot-th of ``arity`` open inputs, given as
+    nonempty runs (occurrence, first input, end input); scans from the end
+    nearer the slot."""
+    if 2 * slot <= arity:
+        k, skip = 0, slot - 1
+        while skip >= runs[k][2] - runs[k][1]:
+            skip -= runs[k][2] - runs[k][1]
+            k += 1
+        return k, runs[k][1] + skip
+    k, skip = len(runs) - 1, arity - slot
+    while skip >= runs[k][2] - runs[k][1]:
+        skip -= runs[k][2] - runs[k][1]
+        k -= 1
+    return k, runs[k][2] - 1 - skip
 
 
 def nesting_to_expression(tree, nesting):

@@ -9,7 +9,8 @@ cell-corner scans, the pairwise piece scan and the certificate verifier at
 the end are the engine's original quadratic ones, kept as the references
 for its corner index, its one-sweep pieces and its vertex-prefix verifier;
 the f-vector closed forms carry the checks past the sizes the brute-force
-enumeration reaches.
+enumeration reaches.  The recursive expression unfolding is the engine's
+original one, the reference for its one-pass iterative unfolding.
 """
 
 import itertools
@@ -459,3 +460,61 @@ def verify_certificate_quadratic(c, cert):
     if tuple(word) != target.steps:
         return (False, len(moves), "replay does not end at the target word")
     return (True, -1, "")
+
+
+# ---------------------------------------------------------------------------
+# Expression unfolding by recursion, re-walking the left leaves per graft
+
+
+def expression_to_nesting_recursive(expr):
+    """(children, leaf_slots, labels, nesting) of an expression, unfolded
+    recursively: each composition walks the left subtree's leaves to find
+    its slot.  Compositions are told from generators by their ``left``."""
+    nodes = []  # mutable records: [label, arity, children list, slots list]
+    nests_occ = []
+
+    def walk_leaves(v):
+        # planar sequence of open inputs of the subtree at v; all are leaves
+        _, _, cs, ls = nodes[v]
+        for seg in range(len(cs) + 1):
+            for j in range(ls[seg]):
+                yield v, seg, j
+            if seg < len(cs):
+                yield from walk_leaves(cs[seg])
+
+    def locate_leaf(root, slot):
+        for count, entry in enumerate(walk_leaves(root), start=1):
+            if count == slot:
+                return entry
+        raise AssertionError("slot within arity but not found")
+
+    def build(e):
+        if not hasattr(e, "left"):
+            nid = len(nodes)
+            nodes.append([e.name, e.arity, [], [e.arity]])
+            return nid, frozenset([nid])
+        lroot, locc = build(e.left)
+        rroot, rocc = build(e.right)
+        u, seg, offset = locate_leaf(lroot, e.slot)
+        rec = nodes[u]
+        count = rec[3][seg]
+        rec[2].insert(seg, rroot)
+        rec[3][seg : seg + 1] = [offset, count - offset - 1]
+        occ = locc | rocc
+        nests_occ.append(occ)
+        return lroot, occ
+
+    root, _ = build(expr)
+
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(nodes[v][2]))
+    idmap = {nid: i for i, nid in enumerate(order)}
+    children = tuple(tuple(idmap[c] for c in nodes[nid][2]) for nid in order)
+    leaf_slots = tuple(tuple(nodes[nid][3]) for nid in order)
+    labels = tuple(nodes[nid][0] for nid in order)
+    nesting = frozenset(frozenset(idmap[v] for v in occ) for occ in nests_occ)
+    return children, leaf_slots, labels, nesting

@@ -204,6 +204,52 @@ def test_rejected_generated_certificate_exits_3(monkeypatch, capsys, tmp_path):
     assert "error: generated certificate rejected" in capsys.readouterr().err
 
 
+def test_generator_failure_exits_4(monkeypatch, capsys):
+    from operahedra import cli
+    from operahedra.errors import GeneratorError
+    from operahedra.homotopy import HomotopyBuilder
+
+    def fail(self, p1, p2):
+        raise GeneratorError("outgoing link of 0 does not join 1 and 2")
+
+    monkeypatch.setattr(HomotopyBuilder, "general", fail)
+    code = cli.main(
+        ["check", "coherence", "--expr", PENTAGON_EXPR,
+         "--w1", "beta@0.1.2 beta@0.1", "--w2", "beta@0.1 beta@0.1.2 beta@1.2"]
+    )
+    assert code == 4
+    assert "error: outgoing link of 0 does not join 1 and 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus, expected", [(8, [4]), (2, [2]), (None, [])])
+def test_check_morse_jobs_are_capped(monkeypatch, capsys, cpus, expected):
+    from operahedra import cli
+
+    workers = []
+
+    class Recorder:
+        """Stands in for the process pool and runs the batch in-process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    # four trees with p <= 3
+    assert cli.main(["check", "morse", "--all-trees", "3", "--jobs", "64"]) == 0
+    assert workers == expected
+    assert json.loads(capsys.readouterr().out)["trees"] == 4
+
+
 def _drop_object(docs):
     del docs["word"]["object"]
 

@@ -436,7 +436,55 @@ def test_word_to_path_and_decide_do_not_flip_nests(monkeypatch):
         raise RuntimeError("flip_nest called")
 
     monkeypatch.setattr(skeleton, "flip_nest", refuse)
-    monkeypatch.setattr(co, "flip_nest", refuse)
-    with pytest.raises(RuntimeError):
-        co.parse_word_text(expr, "beta@0.1")
+    assert not hasattr(co, "flip_nest")
+    start = sk.index[expression_to_nesting(expr)[1]]
+    step = sk.out_step[start][frozenset({0, 1})]
+    word = co.parse_word_text(expr, "beta@0.1")
+    assert co.word_to_path(word) == (sk, Path(start, (step,)))
+    with pytest.raises(RuntimeError):  # the patch is live: building flips
+        skeleton.Skeleton(PlanarTree.linear(4))
     assert (co.word_to_path(w1)[1], co.decide_coherence(w1, w2)) == before
+
+
+def test_one_unfold_and_no_flip_per_word(monkeypatch):
+    from operahedra import skeleton, trees
+
+    expr = parse_expression("(((k:1 o1 t:1) o1 m:1) o1 n:1)")
+    build_skeleton(expression_to_nesting(expr)[0]).homotopy_builder()
+    calls = {"unfold": 0, "flip": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(trees, "expression_to_nesting",
+                        counting("unfold", trees.expression_to_nesting))
+    monkeypatch.setattr(skeleton, "flip_nest", counting("flip", skeleton.flip_nest))
+    w1 = co.parse_word_text(expr, "beta@0.1.2 beta@0.1")
+    assert calls == {"unfold": 1, "flip": 0}
+    w2 = co.word_from_json(co.parse_word_text(expr, "beta@0.1 beta@0.1.2 beta@1.2").to_json())
+    assert calls == {"unfold": 3, "flip": 0}  # the text word, then the JSON word
+    verdict = co.decide_coherence(w1, w2)
+    assert verdict.equal
+    assert calls == {"unfold": 3, "flip": 0}
+    # a word built by hand is walked once, by the same replay
+    co.decide_coherence(co.MorphismWord(expr, w1.moves), w2)
+    assert calls == {"unfold": 4, "flip": 0}
+    # the counters are live: a new skeleton flips every edge once
+    skeleton.Skeleton(PlanarTree.linear(4))
+    assert calls["flip"] == 5
+
+
+def test_replayed_words_compare_by_expression_and_moves():
+    expr = parse_expression("(((k:1 o1 t:1) o1 m:1) o1 n:1)")
+    word = co.parse_word_text(expr, "beta@0.1.2 beta@0.1")
+    plain = co.MorphismWord(expr, word.moves)
+    assert word == plain and hash(word) == hash(plain)
+    assert tuple(word) == (expr, word.moves)
+    assert co.word_to_path(plain) == co.word_to_path(word)
+    # a copy with other moves carries no stale walk
+    shorter = word._replace(moves=word.moves[:1])
+    assert co.word_to_path(shorter)[1].steps == co.word_to_path(word)[1].steps[:1]

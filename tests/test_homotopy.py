@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 import oracles
 from operahedra import complexes as cx
-from operahedra.errors import BrokenChainError, NotOrientedError, NotParallelError
+from operahedra.errors import (
+    BrokenChainError,
+    GeneratorError,
+    NotOrientedError,
+    NotParallelError,
+)
 from operahedra.homotopy import (
     BacktrackDelete,
     BacktrackInsert,
@@ -157,6 +162,19 @@ def test_pentagon_arcs_one_face_substitute():
     assert len(result.moves) == 1
     assert isinstance(result.moves[0], FaceSubstitute)
     assert verify_certificate(c, result).ok
+
+
+def test_generator_failures_raise_generator_error():
+    sk, c, b = skeleton(PlanarTree.linear(4))
+    arcs = sorted(b.face_arcs(0).items())
+    arc = arcs[0][1]
+    # arc . arc^-1 runs along no boundary rotation of the pentagon
+    with pytest.raises(GeneratorError, match="not a boundary rotation"):
+        b.face_move(0, arc, arc, 0)
+    x = sk.morse().face_source_sink[0][0]
+    outside = next(e for e in range(len(c.edges)) if x not in c.edges[e])
+    with pytest.raises(GeneratorError, match="does not join"):
+        b._link_path(x, abs(arc[0]) - 1, outside)
 
 
 def test_oriented_equal_paths_empty_certificate():

@@ -1,8 +1,9 @@
 """No engine behaviour may depend on `assert`: `python -O` strips it.
 
-So no engine source file may hold an assert statement, or a handler that
-would catch an `AssertionError` (a bare `except`, or one naming
-`AssertionError`, `Exception` or `BaseException`).
+So no engine source file may hold an assert statement, a `raise` of
+`AssertionError` (which would end in a traceback and exit 1, "refuted"),
+or a handler that would catch an `AssertionError` (a bare `except`, or one
+naming `AssertionError`, `Exception` or `BaseException`).
 """
 
 import ast
@@ -18,6 +19,10 @@ def _offences(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             yield node.lineno, "assert statement"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(raised, ast.Name) and raised.id == "AssertionError":
+                yield node.lineno, "raises AssertionError"
         elif isinstance(node, ast.ExceptHandler):
             caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
             names = {n.id for n in caught if isinstance(n, ast.Name)}
@@ -41,5 +46,8 @@ def test_the_guard_sees_each_kind_of_offence():
         "try:\n    f()\nexcept (ValueError, AssertionError):\n    pass\n"
         "try:\n    f()\nexcept:\n    pass\n"
         "try:\n    f()\nexcept KeyError:\n    pass\n"
+        "raise AssertionError('unreachable')\n"
+        "raise AssertionError\n"
+        "raise ValueError('bad')\n"
     )
-    assert [line for line, _ in _offences(ast.parse(code))] == [1, 4, 8]
+    assert sorted(line for line, _ in _offences(ast.parse(code))) == [1, 4, 8, 14, 15]

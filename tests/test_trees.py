@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -223,3 +224,50 @@ def test_tree_validation_rejects_zero_arity():
 def test_ordered_tree_enumeration_is_catalan():
     for p in range(1, 8):
         assert len(enumerate_ordered_trees(p)) == oracles.catalan(p - 1)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass unfolding against the recursive reference
+
+
+def _decorated(tree, rng):
+    """``tree`` with a few extra leaves in seeded random gaps."""
+    slots = [list(ls) for ls in tree.leaf_slots]
+    for _ in range(rng.randrange(0, 4)):
+        v = rng.randrange(tree.p)
+        slots[v][rng.randrange(len(slots[v]))] += 1
+    return PlanarTree(tree.children, slots)
+
+
+def test_unfolding_matches_the_recursive_oracle():
+    rng = random.Random(29)
+    checked = 0
+    for p in range(1, 7):
+        for plain in enumerate_ordered_trees(p):
+            for tree in (plain, _decorated(plain, rng)):
+                for nesting in enumerate_maximal_nestings(tree):
+                    expr = nesting_to_expression(tree, nesting)
+                    got, got_nesting = expression_to_nesting(expr)
+                    assert (got.children, got.leaf_slots, got.labels, got_nesting) == (
+                        oracles.expression_to_nesting_recursive(expr)
+                    )
+                    assert (got.children, got.leaf_slots) == (tree.children, tree.leaf_slots)
+                    assert got_nesting == nesting
+                    checked += 1
+    assert checked > 2000
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_deep_combs_unfold_iteratively(side):
+    # twice the interpreter's default recursion limit; a comb n deep has
+    # nests of total size about n^2 / 2, so n = 2000 keeps the test small
+    depth = 2000
+    expr = Generator("g0", 2)
+    for i in range(1, depth + 1):
+        g = Generator(f"g{i}", 2)
+        expr = Composition(expr, g, 1) if side == "left" else Composition(g, expr, 2)
+    tree, nesting = expression_to_nesting(expr)
+    assert tree.p == depth + 1
+    assert len(nesting) == depth
+    assert sorted(map(len, nesting)) == list(range(2, depth + 2))
+    assert sum(map(len, tree.children)) == depth
