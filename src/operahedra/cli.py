@@ -308,7 +308,7 @@ def _load_word(args, attr, expr, tree):
     if value.endswith(".json") or os.path.exists(value):
         # word files carry their own domain object
         word = coherence.word_from_json(_load_json(value))
-        word_tree, _ = trees.expression_to_nesting(word.expr)
+        word_tree = coherence.word_to_path(word)[0].tree
         if tree is not None and word_tree.children != tree.children:
             raise ParseError(f"{value}: word object does not live on the given tree")
         return word

@@ -126,7 +126,7 @@ def word_to_path(word):
     return walk
 
 
-def moves_from_steps(sk, start_vertex, steps):
+def moves_from_steps(sk, steps):
     """Rebuild word moves from a skeleton walk; inverse of word_to_path."""
     moves = []
     for s in steps:
@@ -188,7 +188,7 @@ def normal_form(expr):
     sk = build_skeleton(tree)
     builder = sk.homotopy_builder()
     at = sk.index[nesting]
-    moves = moves_from_steps(sk, at, builder.descent(at))
+    moves = moves_from_steps(sk, builder.descent(at))
     return sk.expression_of(builder.sink), MorphismWord(expr, moves)
 
 

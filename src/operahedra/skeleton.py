@@ -37,8 +37,7 @@ class TwoFace(NamedTuple):
     nesting: frozenset  # p - 3 nests including the full nest
     vertices: tuple  # boundary cycle as vertex indices
     steps: tuple  # boundary walk as signed edge steps
-    shape: str  # "square" | "pentagon" | "hexagon"
-    template: str  # which 4-vertex configuration the face instantiates
+    shape: str  # "square" | "pentagon" | "hexagon", by boundary length
 
 
 def classify_flip(tree, removed, added):
@@ -132,64 +131,6 @@ def _holder(tree, parts, piece):
     return next(q for q in parts if pv in q)
 
 
-def _quotient_template(tree, parts):
-    """Which of the five 4-vertex planar tree shapes four pieces form."""
-    top = parts[0]
-    kids = {id(q): [] for q in parts}
-    for q in parts[1:]:
-        kids[id(_holder(tree, parts, q))].append(q)
-    for lst in kids.values():
-        lst.sort(key=min)
-
-    top_kids = kids[id(top)]
-    if len(top_kids) == 3:
-        return "hexagon.2"
-    if len(top_kids) == 1:
-        mid = top_kids[0]
-        mid_kids = kids[id(mid)]
-        if len(mid_kids) == 2:
-            return "hexagon.1"
-        if len(mid_kids) != 1:
-            raise ShapeError("four pieces do not form a 4-vertex quotient tree")
-        return "pentagon.1"
-    if len(top_kids) != 2:
-        raise ShapeError("four pieces do not form a 4-vertex quotient tree")
-    left, right = top_kids
-    if kids[id(left)]:
-        return "pentagon.2"
-    if not kids[id(right)]:
-        raise ShapeError("four pieces do not form a 4-vertex quotient tree")
-    return "pentagon.3"
-
-
-def face_shape(tree, face_nesting):
-    """(shape, template) of a 2-face nesting, from its piece decomposition.
-
-    A 2-face concentrates its excess in either one nest with four pieces
-    (one of the five 4-vertex configurations: the first three are pentagons,
-    the last two hexagons) or two nests with three pieces each (a square
-    witnessing two commuting moves, with nested or disjoint supports).
-    """
-    ternary = []
-    quaternary = []
-    for nest in face_nesting:
-        parts = trees.pieces(face_nesting, nest)
-        if len(parts) == 3:
-            ternary.append(nest)
-        elif len(parts) == 4:
-            quaternary.append((nest, parts))
-        elif len(parts) != 2:
-            raise ShapeError(f"nest with {len(parts)} pieces in a 2-face")
-    if len(quaternary) == 1 and not ternary:
-        template = _quotient_template(tree, quaternary[0][1])
-        return template.split(".")[0], template
-    if len(ternary) == 2 and not quaternary:
-        n1, n2 = ternary
-        sub = "nested" if (n1 < n2 or n2 < n1) else "disjoint"
-        return "square", f"square.{sub}"
-    raise ShapeError("face excess is not one quaternary or two ternary nests")
-
-
 class Skeleton:
     """The 2-skeleton of the operahedron of a planar tree.
 
@@ -245,7 +186,6 @@ class Skeleton:
         across those two free nests alternately.  Each face is first met at
         its least vertex; its cycle starts there and runs towards the
         smaller of the two neighbours."""
-        tree = self.tree
         walks = {}
         for i, m in enumerate(self.vertices):
             row = self.out_step[i]
@@ -258,14 +198,8 @@ class Skeleton:
                 walks[nesting] = self._walk_face(i, n1, n2)
         faces = []
         for nesting in sorted(walks, key=trees.nesting_sort_key):
-            shape, template = face_shape(tree, nesting)
             cycle, steps = walks[nesting]
-            if SHAPE_BY_LENGTH.get(len(cycle)) != shape:
-                raise ShapeError(
-                    f"face {trees.nesting_to_json(nesting)}: boundary length "
-                    f"{len(cycle)} does not match shape {shape}"
-                )
-            faces.append(TwoFace(nesting, cycle, steps, shape, template))
+            faces.append(TwoFace(nesting, cycle, steps, SHAPE_BY_LENGTH[len(cycle)]))
         return faces
 
     def _walk_face(self, start, n1, n2):
@@ -288,13 +222,6 @@ class Skeleton:
         """(vertex, nest) that the signed step s arrives at and adds."""
         e = self.edges[abs(s) - 1]
         return (e.b, e.added) if s > 0 else (e.a, e.removed)
-
-    def step_between(self, u, v):
-        """The signed step from vertex u to an adjacent vertex v."""
-        for s in self.out_step[u].values():
-            if self.cross(s)[0] == v:
-                return s
-        raise MalformedEdgeError(f"vertices {u} and {v} are not adjacent")
 
     # -- queries ---------------------------------------------------------------
 

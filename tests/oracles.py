@@ -8,11 +8,15 @@ rational Gaussian elimination instead of integer Smith normal form.  The
 cell-corner scans, the pairwise piece scan and the certificate verifier at
 the end are the engine's original quadratic ones, kept as the references
 for its corner index, its one-sweep pieces and its vertex-prefix verifier;
-the f-vector closed forms carry the checks past the sizes the brute-force
-enumeration reaches.  The recursive expression unfolding is the engine's
-original one, the reference for its one-pass iterative unfolding.
+the f-vector closed forms and the construct recurrence of the line graph
+carry the checks past the sizes the brute-force enumeration reaches.  The
+recursive expression unfolding is the engine's original one, the
+reference for its one-pass iterative unfolding, and the piece-based face
+classifier is its original one, the reference for reading a face's shape
+off its boundary length.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -244,6 +248,56 @@ def corolla_f_vector(k):
     return f, f * (k - 1) // 2, math.factorial(k - 2) * stirling2(k, k - 2)
 
 
+def construct_f_vector(tree):
+    """(V, E, F) of the operahedron of ``tree`` by the construct recurrence
+    of its line graph, with no nestings and no flips.
+
+    The operahedron is the graph associahedron of the line graph of the
+    tree, whose vertices are the tree's edges.  Choosing a nonempty root
+    set X of edges leaves the components of the tree minus X; the faces
+    then multiply: F_T(x) = sum over X of x^(|X|-1) * prod F_K(x), over the
+    components K that keep an edge.  The coefficient of x^k counts k-faces.
+    """
+    edges = frozenset(
+        (v, c) for v, cs in enumerate(tree.children) for c in cs
+    )
+    return (_construct(edges) + (0, 0, 0))[:3]
+
+
+def _edge_components(edges):
+    """The edge sets of the connected components of a set of tree edges."""
+    comps = []
+    for e in edges:
+        touching = [k for k in comps if any(set(e) & set(f) for f in k)]
+        merged = {e}.union(*touching)
+        comps = [k for k in comps if k not in touching] + [merged]
+    return [frozenset(k) for k in comps]
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _construct(edges):
+    """Face polynomial coefficients of a tree given by its edge set."""
+    if not edges:
+        return (1,)
+    total = [0] * len(edges)
+    for r in range(1, len(edges) + 1):
+        for roots in itertools.combinations(sorted(edges), r):
+            term = [0] * (r - 1) + [1]
+            for comp in _edge_components(edges - set(roots)):
+                term = _poly_mul(term, _construct(comp))
+            for k, c in enumerate(term):
+                total[k] += c
+    return tuple(total)
+
+
 # ---------------------------------------------------------------------------
 # Cell corners and Morse data by exhaustive scans
 
@@ -392,6 +446,74 @@ def pieces_pairwise(nesting, nest):
     maximal = [m for m in inside if not any(m < other for other in inside)]
     covered = set().union(*maximal)
     return sorted(maximal + [frozenset([v]) for v in nest - covered], key=min)
+
+
+# ---------------------------------------------------------------------------
+# 2-face shapes by piece decomposition
+
+
+def _holder(tree, parts, piece):
+    """The piece holding the parent of a non-top piece's top vertex."""
+    pv = tree.parent[min(piece)]
+    return next(q for q in parts if pv in q)
+
+
+def _quotient_template(tree, parts):
+    """Which of the five 4-vertex planar tree shapes four pieces form."""
+    top = parts[0]
+    kids = {id(q): [] for q in parts}
+    for q in parts[1:]:
+        kids[id(_holder(tree, parts, q))].append(q)
+    for lst in kids.values():
+        lst.sort(key=min)
+
+    top_kids = kids[id(top)]
+    if len(top_kids) == 3:
+        return "hexagon.2"
+    if len(top_kids) == 1:
+        mid = top_kids[0]
+        mid_kids = kids[id(mid)]
+        if len(mid_kids) == 2:
+            return "hexagon.1"
+        if len(mid_kids) != 1:
+            raise ValueError("four pieces do not form a 4-vertex quotient tree")
+        return "pentagon.1"
+    if len(top_kids) != 2:
+        raise ValueError("four pieces do not form a 4-vertex quotient tree")
+    left, right = top_kids
+    if kids[id(left)]:
+        return "pentagon.2"
+    if not kids[id(right)]:
+        raise ValueError("four pieces do not form a 4-vertex quotient tree")
+    return "pentagon.3"
+
+
+def face_shape(tree, face_nesting):
+    """(shape, template) of a 2-face nesting, from its piece decomposition.
+
+    A 2-face concentrates its excess in either one nest with four pieces
+    (one of the five 4-vertex configurations: the first three are pentagons,
+    the last two hexagons) or two nests with three pieces each (a square
+    witnessing two commuting moves, with nested or disjoint supports).
+    """
+    ternary = []
+    quaternary = []
+    for nest in face_nesting:
+        parts = pieces_pairwise(face_nesting, nest)
+        if len(parts) == 3:
+            ternary.append(nest)
+        elif len(parts) == 4:
+            quaternary.append((nest, parts))
+        elif len(parts) != 2:
+            raise ValueError(f"nest with {len(parts)} pieces in a 2-face")
+    if len(quaternary) == 1 and not ternary:
+        template = _quotient_template(tree, quaternary[0][1])
+        return template.split(".")[0], template
+    if len(ternary) == 2 and not quaternary:
+        n1, n2 = ternary
+        sub = "nested" if (n1 < n2 or n2 < n1) else "disjoint"
+        return "square", f"square.{sub}"
+    raise ValueError("face excess is not one quaternary or two ternary nests")
 
 
 def verify_certificate_quadratic(c, cert):

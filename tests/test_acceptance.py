@@ -178,8 +178,8 @@ def _random_parallel_words(sk, rng, max_len=30):
     joiner.reverse()
     s2 += joiner
     expr = sk.expression_of(start)
-    w1 = co.MorphismWord(expr, co.moves_from_steps(sk, start, s1))
-    w2 = co.MorphismWord(expr, co.moves_from_steps(sk, start, s2))
+    w1 = co.MorphismWord(expr, co.moves_from_steps(sk, s1))
+    w2 = co.MorphismWord(expr, co.moves_from_steps(sk, s2))
     return w1, w2
 
 
@@ -264,8 +264,8 @@ def test_criterion_9_maclane_mode():
     src = sk.morse().face_source_sink[0][0]
     assert sk.index[nesting] == src  # ((ab)c)d is the pentagon source
     arcs_by_edge = sorted(builder.face_arcs(0).items())
-    w1 = co.MorphismWord(expr, co.moves_from_steps(sk, src, arcs_by_edge[0][1]))
-    w2 = co.MorphismWord(expr, co.moves_from_steps(sk, src, arcs_by_edge[1][1]))
+    w1 = co.MorphismWord(expr, co.moves_from_steps(sk, arcs_by_edge[0][1]))
+    w2 = co.MorphismWord(expr, co.moves_from_steps(sk, arcs_by_edge[1][1]))
     result = co.decide_coherence(w1, w2)
     assert result.equal and verify_certificate(sk.complex, result.certificate).ok
     verdict(

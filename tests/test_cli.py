@@ -321,3 +321,38 @@ def test_malformed_json_inputs_exit_2(spoil, command, tmp_path):
     assert r.returncode == 2
     assert "error:" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def _word_file(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"object": PENTAGON_EXPR, "moves": [{"remove": [0, 1, 2]}]}))
+    return str(path)
+
+
+def test_word_files_unfold_their_object_once(monkeypatch, capsys, tmp_path):
+    """Each word file is unfolded by the replay that reads it; the check
+    that it lives on the given tree reads the tree off the word's walk."""
+    from operahedra import cli, trees
+
+    unfold = trees.expression_to_nesting
+    calls = []
+
+    def counted(expr):
+        calls.append(expr)
+        return unfold(expr)
+
+    monkeypatch.setattr(trees, "expression_to_nesting", counted)
+    word = _word_file(tmp_path)
+    code = cli.main(["check", "coherence", "--linear", "4", "--w1", word, "--w2", word])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["equal"] is True
+    assert len(calls) == 2
+
+
+def test_word_file_on_another_tree_exits_2(capsys, tmp_path):
+    from operahedra import cli
+
+    word = _word_file(tmp_path)
+    code = cli.main(["check", "coherence", "--linear", "5", "--w1", word, "--w2", word])
+    assert code == 2
+    assert "does not live on the given tree" in capsys.readouterr().err

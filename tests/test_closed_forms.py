@@ -1,13 +1,16 @@
 """Closed-form f-vectors: the associahedron for linear trees and the
 permutohedron for corollas, checked against the brute-force oracle where it
-reaches and then used to check the engine past it."""
+reaches and then used to check the engine past it; and the construct
+recurrence of the line graph, which gives the f-vector of every tree."""
+
+import math
 
 import pytest
 
 import oracles
 from operahedra import complexes as cx
-from operahedra.skeleton import build_skeleton
-from operahedra.trees import PlanarTree
+from operahedra.skeleton import Skeleton, build_skeleton
+from operahedra.trees import PlanarTree, enumerate_ordered_trees
 
 
 def brute_f_vector(tree):
@@ -23,6 +26,36 @@ def test_kirkman_cayley_matches_brute_force(p):
 @pytest.mark.parametrize("k", range(2, 6))
 def test_permutohedron_matches_brute_force(k):
     assert oracles.corolla_f_vector(k) == brute_f_vector(PlanarTree.corolla(k))
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_construct_recurrence_matches_brute_force(p):
+    for tree in enumerate_ordered_trees(p):
+        assert oracles.construct_f_vector(tree) == brute_f_vector(tree)
+
+
+def test_construct_recurrence_matches_closed_forms():
+    for p in range(2, 9):
+        tree = PlanarTree.linear(p)
+        assert oracles.construct_f_vector(tree) == oracles.linear_f_vector(p)
+    for k in range(2, 7):
+        tree = PlanarTree.corolla(k)
+        assert oracles.construct_f_vector(tree) == oracles.corolla_f_vector(k)
+
+
+def test_every_tree_with_p7_matches_construct_recurrence():
+    """Every skeleton at p = 7 against the recurrence, and the simple
+    polytope identities of a (p - 2)-dimensional operahedron: each vertex
+    lies on p - 2 edges and on C(p - 2, 2) 2-faces."""
+    p = 7
+    shapes = enumerate_ordered_trees(p)
+    assert len(shapes) == 132
+    for tree in shapes:
+        sk = Skeleton(tree)
+        v, e, f = sk.f_vector()
+        assert (v, e, f) == oracles.construct_f_vector(tree)
+        assert 2 * e == v * (p - 2)
+        assert sum(len(face.vertices) for face in sk.faces) == v * math.comb(p - 2, 2)
 
 
 def test_stirling_numbers():

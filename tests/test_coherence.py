@@ -24,8 +24,8 @@ def arc_words(tree, face_index=0):
     src = sk.morse().face_source_sink[face_index][0]
     arcs = sorted(builder.face_arcs(face_index).items())
     expr = sk.expression_of(src)
-    w1 = co.MorphismWord(expr, co.moves_from_steps(sk, src, arcs[0][1]))
-    w2 = co.MorphismWord(expr, co.moves_from_steps(sk, src, arcs[1][1]))
+    w1 = co.MorphismWord(expr, co.moves_from_steps(sk, arcs[0][1]))
+    w2 = co.MorphismWord(expr, co.moves_from_steps(sk, arcs[1][1]))
     return sk, w1, w2
 
 
@@ -84,7 +84,7 @@ def test_word_path_round_trip():
             steps.append(s)
             at = sk.complex.step_ends(s)[1]
         expr = sk.expression_of(start)
-        word = co.MorphismWord(expr, co.moves_from_steps(sk, start, steps))
+        word = co.MorphismWord(expr, co.moves_from_steps(sk, steps))
         sk2, path = co.word_to_path(word)
         assert path == Path(start, tuple(steps))
 
@@ -143,7 +143,7 @@ def test_certificates_verify_on_their_skeleton():
                 s1.append(s)
                 at = c.step_ends(s)[1]
             expr = sk.expression_of(start)
-            w1 = co.MorphismWord(expr, co.moves_from_steps(sk, start, s1))
+            w1 = co.MorphismWord(expr, co.moves_from_steps(sk, s1))
             # second leg: the canonical normal-form route via descents
             from collections import deque
 
@@ -165,7 +165,7 @@ def test_certificates_verify_on_their_skeleton():
                 s2.append(s)
                 node = v
             s2.reverse()
-            w2 = co.MorphismWord(expr, co.moves_from_steps(sk, start, s2))
+            w2 = co.MorphismWord(expr, co.moves_from_steps(sk, s2))
             verdict = co.decide_coherence(w1, w2)
             assert verdict.equal
             assert verify_certificate(c, verdict.certificate).ok
@@ -325,7 +325,7 @@ def test_front_ends_agree_on_random_walks():
                 text_word = co.parse_word_text(expr, " ".join(tokens))
                 json_word = co.word_from_json(text_word.to_json())
                 assert json_word.moves == text_word.moves
-                assert json_word.moves == co.moves_from_steps(sk, start, steps)
+                assert json_word.moves == co.moves_from_steps(sk, steps)
                 assert str(json_word.expr) == str(expr)
                 path = Path(start, tuple(steps))
                 assert co.word_to_path(text_word)[1] == path

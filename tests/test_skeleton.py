@@ -112,30 +112,58 @@ def test_face_boundaries_are_4_5_or_6_everywhere():
                 ]
 
 
+def first_template(tree):
+    """The oracle's template for the first face of ``tree``'s skeleton."""
+    return oracles.face_shape(tree, build_skeleton(tree).faces[0].nesting)[1]
+
+
 def test_face_templates():
-    sk = build_skeleton(PlanarTree.linear(4))
-    assert sk.faces[0].template == "pentagon.1"
-    sk = build_skeleton(PlanarTree.corolla(3))
-    assert sk.faces[0].template == "hexagon.2"
+    assert first_template(PlanarTree.linear(4)) == "pentagon.1"
+    assert first_template(PlanarTree.corolla(3)) == "hexagon.2"
     # chain of two with a fork on top: the other hexagon
     tree = PlanarTree(children=[(1,), (2, 3), (), ()])
-    sk = build_skeleton(tree)
-    assert sk.faces[0].template == "hexagon.1"
+    assert first_template(tree) == "hexagon.1"
     # the two mirrored pentagons with one branch
     left_deep = PlanarTree(children=[(1, 3), (2,), (), ()])
-    assert build_skeleton(left_deep).faces[0].template == "pentagon.2"
+    assert first_template(left_deep) == "pentagon.2"
     right_deep = PlanarTree(children=[(1, 2), (), (3,), ()])
-    assert build_skeleton(right_deep).faces[0].template == "pentagon.3"
+    assert first_template(right_deep) == "pentagon.3"
+
+
+def square_templates(tree):
+    return {
+        oracles.face_shape(tree, f.nesting)[1]
+        for f in build_skeleton(tree).faces if f.shape == "square"
+    }
 
 
 def test_square_templates_disjoint_and_nested():
     # at p = 5 one of the two commuting supports is always the full nest
-    sk = build_skeleton(PlanarTree.linear(5))
-    assert {f.template for f in sk.faces if f.shape == "square"} == {"square.nested"}
+    assert square_templates(PlanarTree.linear(5)) == {"square.nested"}
     # at p = 6 two disjoint 3-vertex supports fit, e.g. two 2-chain branches
-    sk = build_skeleton(PlanarTree.linear(6))
-    templates = {f.template for f in sk.faces if f.shape == "square"}
+    templates = square_templates(PlanarTree.linear(6))
     assert "square.disjoint" in templates and "square.nested" in templates
+
+
+SHAPE_ORACLE_TREES = [
+    PlanarTree.linear(7),
+    PlanarTree.corolla(5),
+    PlanarTree.corolla(6),
+    PlanarTree([[1, 4], [2, 3], [], [], [5], [6], []]),  # mixed_a of test_corner_index
+    PlanarTree([[1, 5, 6], [2], [3, 4], [], [], [], []]),  # mixed_b of test_corner_index
+]
+
+
+def test_boundary_length_shape_matches_piece_classifier():
+    """The shape read off each face's boundary length equals the one the
+    piece decomposition of its nesting gives."""
+    small = [t for p in range(1, 7) for t in enumerate_ordered_trees(p)]
+    checked = 0
+    for tree in small + SHAPE_ORACLE_TREES:
+        for f in build_skeleton(tree).faces:
+            assert f.shape == oracles.face_shape(tree, f.nesting)[0]
+            checked += 1
+    assert checked > 6000
 
 
 def test_face_shape_census_matches_independent_classifier():
@@ -240,8 +268,7 @@ def test_pieces_sweep_matches_pairwise_definition():
 
 
 def test_step_table_matches_edges():
-    """out_step[i][nest] leaves vertex i across the edge that flips nest,
-    and step_between answers from it."""
+    """out_step[i][nest] leaves vertex i across the edge that flips nest."""
     mixed = PlanarTree([(1, 3), (2,), (), ()])
     for tree in [PlanarTree.linear(5), PlanarTree.corolla(4), mixed]:
         sk = build_skeleton(tree)
@@ -253,6 +280,3 @@ def test_step_table_matches_edges():
                 assert tail == i
                 e = sk.edges[abs(s) - 1]
                 assert (e.removed if s > 0 else e.added) == nest
-                assert sk.step_between(i, head) == s
-        with pytest.raises(MalformedEdgeError):
-            sk.step_between(0, 0)
