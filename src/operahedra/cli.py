@@ -74,7 +74,9 @@ def _load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _tree_from_args(args):
+def _object_from_args(args):
+    """(tree, None) from --linear, --corolla-children or --tree, or
+    (None, expr) from --expr or --maclane, not yet unfolded."""
     names = ("linear", "corolla_children", "tree", "expr", "maclane")
     if sum(getattr(args, name, None) is not None for name in names) != 1:
         raise ParseError(
@@ -87,11 +89,14 @@ def _tree_from_args(args):
     if args.tree is not None:
         return trees.PlanarTree.from_json(_load_json(args.tree)), None
     if getattr(args, "expr", None) is not None:
-        expr = trees.parse_expression(args.expr)
+        return None, trees.parse_expression(args.expr)
+    return None, coherence.maclane_parse(args.maclane)
+
+
+def _tree_from_args(args):
+    tree, expr = _object_from_args(args)
+    if tree is None:
         tree, _ = trees.expression_to_nesting(expr)
-        return tree, expr
-    expr = coherence.maclane_parse(args.maclane)
-    tree, _ = trees.expression_to_nesting(expr)
     return tree, expr
 
 
@@ -304,23 +309,27 @@ def cmd_check_confluence(args):
 
 
 def _load_word(args, attr, expr, tree):
+    """(word, tree): the word named by ``args.<attr>``, and the tree of the
+    object.  A tree not known yet is read off a sugared word's walk; a word
+    file, which carries its own object, must live on it."""
     value = getattr(args, attr)
     if value.endswith(".json") or os.path.exists(value):
-        # word files carry their own domain object
         word = coherence.word_from_json(_load_json(value))
-        word_tree = coherence.word_to_path(word)[0].tree
-        if tree is not None and word_tree.children != tree.children:
+        if tree is None:
+            tree, _ = trees.expression_to_nesting(expr)
+        if coherence.word_to_path(word)[0].tree.children != tree.children:
             raise ParseError(f"{value}: word object does not live on the given tree")
-        return word
+        return word, tree
     if expr is None:
         raise ParseError("sugared words need --expr or --maclane for the object")
-    return coherence.parse_word_text(expr, value)
+    word = coherence.parse_word_text(expr, value)
+    return word, coherence.word_to_path(word)[0].tree
 
 
 def cmd_check_coherence(args, require_cert=False):
-    tree, expr = _tree_from_args(args)
-    w1 = _load_word(args, "w1", expr, tree)
-    w2 = _load_word(args, "w2", expr, tree)
+    tree, expr = _object_from_args(args)
+    w1, tree = _load_word(args, "w1", expr, tree)
+    w2, _ = _load_word(args, "w2", expr, tree)
     expr = w1.expr
     verdict = coherence.decide_coherence(w1, w2)
     if args.emit_cert:

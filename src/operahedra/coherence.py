@@ -56,20 +56,18 @@ class CoherenceVerdict(NamedTuple):
 
 
 def replay(expr, moves):
-    """Walk moves from the nesting of ``expr``; return (tree, word, visited).
+    """Walk moves from the nesting of ``expr``; return the word.
 
     Each move is (removed, added, sign, kind); added, sign and kind may be
     None.  The expression is unfolded once and each move is read off the
     skeleton's step table: stated fields must match the edge's far nest and
-    its classification, unstated ones are filled in from them, and
-    `visited` holds the nestings passed through.  The word carries the
-    skeleton and path walked.  Raises IllegalMoveError.  This is the only
-    word reader.
+    its classification, and unstated ones are filled in from them.  The
+    word carries the skeleton and path walked as its `walk`.  Raises
+    IllegalMoveError.  This is the only word reader.
     """
     tree, nesting = trees.expression_to_nesting(expr)
     sk = build_skeleton(tree)
     at = start = sk.index[nesting]
-    visited = [nesting]
     steps, word = [], []
     for k, move in enumerate(moves):
         removed = frozenset(move[0])
@@ -81,10 +79,9 @@ def replay(expr, moves):
         sign = _checked_sign(k, move, partner, e.kind, e.forward == (s > 0))
         word.append((removed, partner, sign))
         steps.append(s)
-        visited.append(sk.vertices[at])
     walked = _WalkedWord(expr, tuple(word))
     walked.walk = (sk, Path(start, tuple(steps)))
-    return tree, walked, visited
+    return walked
 
 
 def _unflippable(k, nesting, removed):
@@ -122,7 +119,7 @@ def word_to_path(word):
     """
     walk = getattr(word, "walk", None)  # a copy by `_replace` carries none
     if walk is None:
-        walk = replay(word.expr, [(*move, None) for move in word.moves])[1].walk
+        walk = replay(word.expr, [(*move, None) for move in word.moves]).walk
     return walk
 
 
@@ -317,7 +314,7 @@ def parse_word_text(expr, text):
         inverse, kind, ids = m.groups()
         removed = frozenset(int(x) for x in ids.split("."))
         moves.append((removed, None, -1 if inverse else 1, kind))
-    return replay(expr, moves)[1]
+    return replay(expr, moves)
 
 
 def word_from_json(data, expr=None):
@@ -334,4 +331,4 @@ def word_from_json(data, expr=None):
         ]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad word document: {exc}") from exc
-    return replay(expr, moves)[1]
+    return replay(expr, moves)

@@ -4,9 +4,11 @@ A path is a start vertex plus a word of signed steps on a Complex2.  Two
 parallel paths are related by a certificate: a sequence of elementary moves,
 each inserting a backtrack, deleting one, or substituting a subword across a
 2-cell boundary.  Certificates are generated by descending both paths to a
-canonical form through the oriented 1-skeleton (the unique-sink induction)
-and are re-checked by a verifier that shares nothing with the generator
-beyond these data types.
+canonical form through the oriented 1-skeleton (the unique-sink induction).
+The generator writes each move's inverse as it makes it, and reads each
+face move's rotation off the face's two arcs, so it never replays a word.
+The verifier is the only code that replays a certificate; it re-checks
+every move and shares nothing with the generator beyond these data types.
 """
 
 from typing import NamedTuple
@@ -26,6 +28,17 @@ def _json_int(value, field):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def _json_step(edge, sign):
+    """The signed step of an edge id and a sign of +1 or -1; raises
+    ParseError for a negative edge id or any other sign."""
+    edge, sign = _json_int(edge, "edge"), _json_int(sign, "sign")
+    if edge < 0:
+        raise ParseError(f"edge must be non-negative, got {edge}")
+    if sign not in (1, -1):
+        raise ParseError(f"sign must be 1 or -1, got {sign}")
+    return (edge + 1) * sign
 
 
 # the integer fields of each certificate move op, in constructor order
@@ -53,8 +66,7 @@ class Path(NamedTuple):
         for pair in data["steps"]:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError(f"a step must be an [edge, sign] pair, got {pair!r}")
-            e, sign = (_json_int(x, "step") for x in pair)
-            steps.append((e + 1) if sign > 0 else -(e + 1))
+            steps.append(_json_step(*pair))
         return cls(_json_int(data["start"], "start"), tuple(steps))
 
 
@@ -122,13 +134,13 @@ class Certificate(NamedTuple):
                     raise ParseError(f"unknown move op {op!r}")
                 ints = [_json_int(m[k], k) for k in _INT_FIELDS[op]]
                 if op == "insert":
-                    position, edge, sign = ints
-                    step = (edge + 1) * (1 if sign > 0 else -1)
-                    moves.append(BacktrackInsert(position, step))
+                    moves.append(BacktrackInsert(ints[0], _json_step(*ints[1:])))
                 elif op == "delete":
                     moves.append(BacktrackDelete(*ints))
+                elif isinstance(m["reverse"], bool):
+                    moves.append(FaceSubstitute(*ints, m["reverse"]))
                 else:
-                    moves.append(FaceSubstitute(*ints, bool(m["reverse"])))
+                    raise ParseError(f"reverse must be a boolean, got {m['reverse']!r}")
             source = Path.from_json(data["source"])
             target = Path.from_json(data["target"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -166,23 +178,10 @@ def reduce_path(c, path):
     return Path(path.start, tuple(word))
 
 
-def rotated_boundary(c, cell_id, offset, reverse):
-    """The cell boundary as a closed word, optionally reversed, rotated to
-    start at the given offset."""
-    walk = c.cells[cell_id]
-    if reverse:
-        walk = tuple(-s for s in reversed(walk))
-    return walk[offset:] + walk[:offset]
-
-
 def _shift(moves, delta):
     if delta == 0:
         return list(moves)
     return [m._replace(position=m.position + delta) for m in moves]
-
-
-def _inverse_word(word):
-    return tuple(-s for s in reversed(word))
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +255,6 @@ class HomotopyBuilder:
         self._arcs[ci] = arcs
         return arcs
 
-    def face_move(self, ci, matched_word, replacement, position):
-        """FaceSubstitute parameters realising matched -> replacement across
-        cell ci; the closed word matched . replacement^-1 must be a rotation
-        of the boundary or of its reversed inverse."""
-        loop = tuple(matched_word) + _inverse_word(replacement)
-        n = len(self.c.cells[ci])
-        for reverse in (False, True):
-            for offset in range(n):
-                if rotated_boundary(self.c, ci, offset, reverse) == loop:
-                    return FaceSubstitute(position, ci, len(matched_word), offset, reverse)
-        raise GeneratorError("matched/replacement pair is not a boundary rotation")
-
     # -- the unique-sink induction ------------------------------------------
 
     def oriented_to_sink(self, x, g1, g2):
@@ -304,7 +291,14 @@ class HomotopyBuilder:
         d1 = arc1 + tail
         d2 = arc2 + tail
         moves = self.oriented_to_sink(x, g1, d1)
-        moves.append(self.face_move(ci, arc1, arc2, 0))
+        # arc1 . arc2^-1 is the boundary read from arc1's first step: forward
+        # when that step is on the boundary, else along its reversed inverse
+        cell = self.c.cells[ci]
+        if arc1[0] in cell:
+            offset, reverse = cell.index(arc1[0]), False
+        else:
+            offset, reverse = len(cell) - 1 - cell.index(-arc1[0]), True
+        moves.append(FaceSubstitute(0, ci, len(arc1), offset, reverse))
         moves += self.oriented_to_sink(x, d2, g2)
         return moves
 
@@ -402,46 +396,27 @@ class HomotopyBuilder:
         return moves
 
     def general(self, p1, p2):
-        """Certificate between parallel paths with arbitrary step signs."""
+        """Certificate between parallel paths with arbitrary step signs:
+        p1's moves to the canonical form, then p2's undone in reverse.
+
+        Each of p2's moves is undone without replaying the word.  A delete
+        at i removes the backtrack on p2's own step i, since `to_canonical`
+        never touches the prefix left of the step it absorbs; a face move
+        is undone by the rest of the same boundary, read the other way.
+        """
         self._common_end(p1, p2)
-        forward = self.to_canonical(p1)
-        backward = self.to_canonical(p2)
-        inverse = invert_moves(self.c, p2, backward)
-        return Certificate(p1, p2, tuple(forward) + tuple(inverse))
-
-
-def _apply(c, word, m):
-    """Apply one move to a step list in place, unchecked, and return the
-    move that undoes it; generation-side."""
-    if isinstance(m, BacktrackInsert):
-        word[m.position : m.position] = [m.step, -m.step]
-        return BacktrackDelete(m.position)
-    if isinstance(m, BacktrackDelete):
-        undo = BacktrackInsert(m.position, word[m.position])
-        del word[m.position : m.position + 2]
-        return undo
-    w = rotated_boundary(c, m.cell, m.offset, m.reverse)
-    word[m.position : m.position + m.matched] = _inverse_word(w[m.matched :])
-    n = len(w)
-    return FaceSubstitute(
-        m.position, m.cell, n - m.matched, (n - m.offset) % n, not m.reverse
-    )
-
-
-def apply_moves(c, path, moves):
-    """Replay moves over a word without validating them; generation-side."""
-    word = list(path.steps)
-    for m in moves:
-        _apply(c, word, m)
-    return Path(path.start, tuple(word))
-
-
-def invert_moves(c, path, moves):
-    """The reversed move list undoing `moves`, computed by forward replay."""
-    word = list(path.steps)
-    inverted = [_apply(c, word, m) for m in moves]
-    inverted.reverse()
-    return inverted
+        moves = self.to_canonical(p1)
+        for m in reversed(self.to_canonical(p2)):
+            if isinstance(m, BacktrackInsert):
+                moves.append(BacktrackDelete(m.position))
+            elif isinstance(m, BacktrackDelete):
+                moves.append(BacktrackInsert(m.position, p2.steps[m.position]))
+            else:
+                n = len(self.c.cells[m.cell])
+                moves.append(FaceSubstitute(
+                    m.position, m.cell, n - m.matched, (n - m.offset) % n, not m.reverse
+                ))
+        return Certificate(p1, p2, tuple(moves))
 
 
 # ---------------------------------------------------------------------------

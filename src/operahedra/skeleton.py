@@ -274,7 +274,13 @@ class Skeleton:
         return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
+# a batch of queries cycles through a few trees, and a command uses one tree
+# at a time, so a few dozen skeletons cover both
+SKELETON_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=SKELETON_CACHE_SIZE)
 def build_skeleton(tree):
-    """Skeleton of the operahedron of ``tree``; cached per tree."""
+    """Skeleton of the operahedron of ``tree``; the last
+    SKELETON_CACHE_SIZE trees asked for are cached."""
     return Skeleton(tree)

@@ -10,6 +10,9 @@ the end are the engine's original quadratic ones, kept as the references
 for its corner index, its one-sweep pieces and its vertex-prefix verifier;
 the f-vector closed forms and the construct recurrence of the line graph
 carry the checks past the sizes the brute-force enumeration reaches.  The
+certificate replay and the face-rotation search are the generator's
+original ones, the references for its local move inversion and for its
+reading of face moves off the arcs; they share only the move types.  The
 recursive expression unfolding is the engine's original one, the
 reference for its one-pass iterative unfolding, and the piece-based face
 classifier is its original one, the reference for reading a face's shape
@@ -582,6 +585,75 @@ def verify_certificate_quadratic(c, cert):
     if tuple(word) != target.steps:
         return (False, len(moves), "replay does not end at the target word")
     return (True, -1, "")
+
+
+# ---------------------------------------------------------------------------
+# Certificate replay and the face-rotation search: the generator's original
+# way of inverting its moves and of encoding a face move
+
+
+def rotated_boundary(c, cell_id, offset, reverse):
+    """The cell boundary as a closed word, optionally reversed, rotated to
+    start at the given offset."""
+    walk = c.cells[cell_id]
+    if reverse:
+        walk = tuple(-s for s in reversed(walk))
+    return walk[offset:] + walk[:offset]
+
+
+def _inverse_word(word):
+    return tuple(-s for s in reversed(word))
+
+
+def face_move(c, ci, matched_word, replacement, position):
+    """The FaceSubstitute realising matched -> replacement across cell ci,
+    found by trying every rotation of the boundary and of its reversed
+    inverse; raises ValueError when matched . replacement^-1 is neither."""
+    from operahedra.homotopy import FaceSubstitute
+
+    loop = tuple(matched_word) + _inverse_word(replacement)
+    n = len(c.cells[ci])
+    for reverse in (False, True):
+        for offset in range(n):
+            if rotated_boundary(c, ci, offset, reverse) == loop:
+                return FaceSubstitute(position, ci, len(matched_word), offset, reverse)
+    raise ValueError("matched/replacement pair is not a boundary rotation")
+
+
+def apply_move(c, word, m):
+    """Apply one move to a step list in place, unchecked, and return the
+    move that undoes it."""
+    from operahedra.homotopy import BacktrackDelete, BacktrackInsert, FaceSubstitute
+
+    if isinstance(m, BacktrackInsert):
+        word[m.position : m.position] = [m.step, -m.step]
+        return BacktrackDelete(m.position)
+    if isinstance(m, BacktrackDelete):
+        undo = BacktrackInsert(m.position, word[m.position])
+        del word[m.position : m.position + 2]
+        return undo
+    w = rotated_boundary(c, m.cell, m.offset, m.reverse)
+    word[m.position : m.position + m.matched] = _inverse_word(w[m.matched :])
+    n = len(w)
+    return FaceSubstitute(
+        m.position, m.cell, n - m.matched, (n - m.offset) % n, not m.reverse
+    )
+
+
+def apply_moves(c, path, moves):
+    """Replay moves over a word without validating them."""
+    word = list(path.steps)
+    for m in moves:
+        apply_move(c, word, m)
+    return type(path)(path.start, tuple(word))
+
+
+def invert_moves(c, path, moves):
+    """The reversed move list undoing `moves`, computed by forward replay."""
+    word = list(path.steps)
+    inverted = [apply_move(c, word, m) for m in moves]
+    inverted.reverse()
+    return inverted
 
 
 # ---------------------------------------------------------------------------

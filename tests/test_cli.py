@@ -286,6 +286,31 @@ def _non_list_step(docs):
     docs["cert"]["source"]["steps"][0] = 5
 
 
+def _negative_edge_path(docs):
+    # read as edge 0 run backwards when edge ids are not checked
+    docs["cert"]["source"] = docs["cert"]["target"] = {"start": 1, "steps": [[-2, 1]]}
+    docs["cert"]["moves"] = []
+
+
+def _negative_edge_insert(docs):
+    docs["cert"]["moves"][:0] = [
+        {"op": "insert", "position": 0, "edge": -2, "sign": 1},
+        {"op": "delete", "position": 0},
+    ]
+
+
+def _zero_sign(docs):
+    docs["cert"]["source"]["steps"][0][1] = 0
+
+
+def _sign_seven(docs):
+    docs["cert"]["source"]["steps"][1][1] = 7
+
+
+def _string_reverse(docs):
+    docs["cert"]["moves"][0]["reverse"] = "false"
+
+
 @pytest.mark.parametrize(
     "spoil, command",
     [
@@ -298,6 +323,11 @@ def _non_list_step(docs):
         (_string_position, "verify"),
         (_bool_position, "verify"),
         (_non_list_step, "verify"),
+        (_negative_edge_path, "verify"),
+        (_negative_edge_insert, "verify"),
+        (_zero_sign, "verify"),
+        (_sign_seven, "verify"),
+        (_string_reverse, "verify"),
     ],
 )
 def test_malformed_json_inputs_exit_2(spoil, command, tmp_path):
@@ -345,6 +375,31 @@ def test_word_files_unfold_their_object_once(monkeypatch, capsys, tmp_path):
     word = _word_file(tmp_path)
     code = cli.main(["check", "coherence", "--linear", "4", "--w1", word, "--w2", word])
     assert code == 0
+    assert json.loads(capsys.readouterr().out)["equal"] is True
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("word_file", [False, True])
+def test_sugared_words_unfold_the_object_once_each(monkeypatch, capsys, tmp_path, word_file):
+    """With --maclane or --expr, the object is unfolded by each word's
+    replay only: a word file is checked against the tree of the sugared
+    word's walk, not against a separate unfolding."""
+    from operahedra import cli, trees
+
+    unfold = trees.expression_to_nesting
+    calls = []
+
+    def counted(expr):
+        calls.append(expr)
+        return unfold(expr)
+
+    monkeypatch.setattr(trees, "expression_to_nesting", counted)
+    if word_file:
+        argv = ["--expr", PENTAGON_EXPR, "--w1", "beta@0.1.2", "--w2", _word_file(tmp_path)]
+    else:
+        argv = ["--maclane", "((ab)c)d",
+                "--w1", "beta@0.1.2 beta@0.1", "--w2", "beta@0.1 beta@0.1.2 beta@1.2"]
+    assert cli.main(["check", "coherence"] + argv) == 0
     assert json.loads(capsys.readouterr().out)["equal"] is True
     assert len(calls) == 2
 

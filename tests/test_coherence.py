@@ -334,10 +334,12 @@ def test_front_ends_agree_on_random_walks():
 
 def test_illegal_moves_report_one_index_from_every_front_end():
     expr = parse_expression("(((k:1 o1 t:1) o1 m:1) o1 n:1)")
-    tree, prefix, visited = co.replay(
+    prefix = co.replay(
         expr, [({0, 1, 2}, None, 1, "beta"), ({0, 1}, None, 1, "beta")]
     )
-    current = visited[-1]
+    sk, path = prefix.walk
+    tree = sk.tree
+    current = sk.vertices[validate_path(sk.complex, path)]
     full = frozenset(range(tree.p))
     nest = min(current - {full}, key=sorted)
     _, partner = flip_nest(tree, current, nest)
@@ -407,12 +409,14 @@ def test_word_to_path_follows_replay_on_random_walks():
             for _ in range(3):
                 start = rng.randrange(len(sk.vertices))
                 current, moves = sk.vertices[start], []
+                visited = [current]
                 for _ in range(rng.randrange(0, 15) if p > 2 else 0):
                     nest = rng.choice(sorted(current - {full}, key=sorted))
                     current, _ = flip_nest(tree, current, nest)
                     moves.append((nest, None, None, None))
+                    visited.append(current)
                 expr = sk.expression_of(start)
-                _, word, visited = co.replay(expr, moves)
+                word = co.replay(expr, moves)
                 sk2, path = co.word_to_path(word)
                 at = [path.start]
                 for s in path.steps:

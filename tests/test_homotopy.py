@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -18,8 +21,6 @@ from operahedra.homotopy import (
     Certificate,
     FaceSubstitute,
     Path,
-    apply_moves,
-    invert_moves,
     reduce_path,
     validate_path,
     verify_certificate,
@@ -166,11 +167,7 @@ def test_pentagon_arcs_one_face_substitute():
 
 def test_generator_failures_raise_generator_error():
     sk, c, b = skeleton(PlanarTree.linear(4))
-    arcs = sorted(b.face_arcs(0).items())
-    arc = arcs[0][1]
-    # arc . arc^-1 runs along no boundary rotation of the pentagon
-    with pytest.raises(GeneratorError, match="not a boundary rotation"):
-        b.face_move(0, arc, arc, 0)
+    arc = sorted(b.face_arcs(0).items())[0][1]
     x = sk.morse().face_source_sink[0][0]
     outside = next(e for e in range(len(c.edges)) if x not in c.edges[e])
     with pytest.raises(GeneratorError, match="does not join"):
@@ -374,7 +371,7 @@ def test_verifier_exhaustive_single_field_mutations():
             result = verify_certificate(c, forged)
             if result.ok:
                 # mutation preserved semantics: replay must reach the target
-                assert apply_moves(c, forged.source, forged.moves).steps == (
+                assert oracles.apply_moves(c, forged.source, forged.moves).steps == (
                     forged.target.steps
                 )
 
@@ -424,8 +421,8 @@ def test_face_substitute_with_zero_match_inserts_boundary():
 
 def test_invert_moves_round_trip():
     c, cert = make_valid_certificate()
-    inverse = invert_moves(c, cert.source, cert.moves)
-    back = apply_moves(c, cert.target, inverse)
+    inverse = oracles.invert_moves(c, cert.source, cert.moves)
+    back = oracles.apply_moves(c, cert.target, inverse)
     assert back.steps == cert.source.steps
 
 
@@ -533,3 +530,86 @@ def test_verifier_step_lookups_are_linear_in_certificate_size():
     assert verify_certificate(c, cert).ok
     size = len(cert.moves) + len(cert.source.steps) + len(cert.target.steps)
     assert c.calls <= 8 * size
+
+
+# ---------------------------------------------------------------------------
+# The generator inverts its own moves and reads face rotations off the arcs:
+# seeded certificates are pinned by digest, their second half equals the
+# inverse found by replay, and every face move equals the rotation search
+
+PINNED_TREES = [t for p in range(1, 6) for t in enumerate_ordered_trees(p)] + [
+    PlanarTree.linear(6),
+    PlanarTree([[1, 4], [2, 3], [], [], [5], [6], []]),  # mixed_a of test_corner_index
+    PlanarTree([[1, 5, 6], [2], [3, 4], [], [], [], []]),  # mixed_b of test_corner_index
+]
+
+PINNED_DIGEST = "d84b2fa01cd0fd3e4dceee8adefe83498c4259d5839adc26229d0230eeba14f7"
+
+
+def _pinned_certificates():
+    """(skeleton, p1, p2, certificate): for every pinned tree with an edge,
+    a random walk against a second walk that ends with a shortest path to
+    the first one's end, at three lengths."""
+    rng = random.Random(808)
+    for tree in PINNED_TREES:
+        sk, c, b = skeleton(tree)
+        if not c.edges:
+            continue
+        adj = steps_at(c)
+        for length in (3, 8, 16):
+            start = rng.randrange(c.vertex_count)
+            s1, end = random_walk(c, adj, rng, start, length)
+            s2, mid = random_walk(c, adj, rng, start, length)
+            p1 = Path(start, tuple(s1))
+            p2 = Path(start, tuple(s2 + bfs_steps(c, adj, mid, end)))
+            yield sk, p1, p2, b.general(p1, p2)
+
+
+def test_seeded_certificates_digest():
+    h = hashlib.sha256()
+    for sk, _, _, cert in _pinned_certificates():
+        assert verify_certificate(sk.complex, cert).ok
+        h.update(json.dumps(cert.to_json(), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == PINNED_DIGEST
+
+
+def test_general_second_half_is_the_replayed_inverse():
+    for sk, p1, p2, cert in _pinned_certificates():
+        b = sk.homotopy_builder()
+        forward = tuple(b.to_canonical(p1))
+        assert cert.moves[: len(forward)] == forward
+        inverse = oracles.invert_moves(sk.complex, p2, b.to_canonical(p2))
+        assert list(cert.moves[len(forward) :]) == inverse
+
+
+def test_face_moves_equal_the_rotation_search():
+    """Replaying each certificate, every face move is the one the search
+    over boundary rotations finds for the subword it replaces and the
+    subword it puts in."""
+    faces = 0
+    for sk, p1, _, cert in _pinned_certificates():
+        c = sk.complex
+        word = list(p1.steps)
+        for m in cert.moves:
+            before = tuple(word)
+            oracles.apply_move(c, word, m)
+            if isinstance(m, FaceSubstitute):
+                faces += 1
+                n = len(c.cells[m.cell])
+                matched = before[m.position : m.position + m.matched]
+                put_in = tuple(word[m.position : m.position + n - m.matched])
+                assert oracles.face_move(c, m.cell, matched, put_in, m.position) == m
+    assert faces > 0
+
+
+def test_arc_face_moves_equal_the_rotation_search():
+    """Across every cell of the pinned trees, from either arc to the other,
+    the oriented certificate is the one face move the search finds."""
+    for tree in PINNED_TREES:
+        sk, c, b = skeleton(tree)
+        for ci in range(len(c.cells)):
+            src = sk.morse().face_source_sink[ci][0]
+            for arc1, arc2 in itertools.permutations(b.face_arcs(ci).values()):
+                cert = b.oriented(Path(src, arc1), Path(src, arc2))
+                faces = [m for m in cert.moves if isinstance(m, FaceSubstitute)]
+                assert faces == [oracles.face_move(c, ci, arc1, arc2, 0)]
