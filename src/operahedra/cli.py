@@ -310,14 +310,17 @@ def cmd_check_confluence(args):
 
 def _load_word(args, attr, expr, tree):
     """(word, tree): the word named by ``args.<attr>``, and the tree of the
-    object.  A tree not known yet is read off a sugared word's walk; a word
-    file, which carries its own object, must live on it."""
+    object.  A tree not known yet is read off a word's walk; a word file,
+    which carries its own object, must live on it.  A word file whose
+    object is ``expr`` itself lives on its tree, so ``expr`` is unfolded
+    only when the two differ."""
     value = getattr(args, attr)
     if value.endswith(".json") or os.path.exists(value):
         word = coherence.word_from_json(_load_json(value))
+        word_tree = coherence.word_to_path(word)[0].tree
         if tree is None:
-            tree, _ = trees.expression_to_nesting(expr)
-        if coherence.word_to_path(word)[0].tree.children != tree.children:
+            tree = word_tree if word.expr == expr else trees.expression_to_nesting(expr)[0]
+        if word_tree.children != tree.children:
             raise ParseError(f"{value}: word object does not live on the given tree")
         return word, tree
     if expr is None:

@@ -58,38 +58,35 @@ class CoherenceVerdict(NamedTuple):
 def replay(expr, moves):
     """Walk moves from the nesting of ``expr``; return the word.
 
-    Each move is (removed, added, sign, kind); added, sign and kind may be
-    None.  The expression is unfolded once and each move is read off the
-    skeleton's step table: stated fields must match the edge's far nest and
-    its classification, and unstated ones are filled in from them.  The
-    word carries the skeleton and path walked as its `walk`.  Raises
-    IllegalMoveError.  This is the only word reader.
+    Each move is (removed, added, sign, kind), the nests as vertex ids;
+    added, sign and kind may be None.  The expression is unfolded once and
+    each move is read off the skeleton's step table: stated fields must
+    match the edge's far nest and its classification, and unstated ones are
+    filled in from them.  The word carries the skeleton and path walked as
+    its `walk`.  Raises IllegalMoveError.  This is the only word reader.
     """
     tree, nesting = trees.expression_to_nesting(expr)
     sk = build_skeleton(tree)
     at = start = sk.index[nesting]
     steps, word = [], []
     for k, move in enumerate(moves):
-        removed = frozenset(move[0])
-        s = sk.out_step[at].get(removed)
+        mask = trees.nest_mask(move[0], tree.p)
+        s = sk.out_step[at].get(mask)
         if s is None:
-            raise _unflippable(k, sk.vertices[at], removed)
+            if mask in sk.vertices[at]:
+                raise IllegalMoveError(k, FULL_NEST_FLIP)
+            raise IllegalMoveError(k, f"nest {sorted(move[0])} is not present")
         e = sk.edges[abs(s) - 1]
-        at, partner = sk.cross(s)
+        if s > 0:
+            at, removed, partner = e.b, e.removed, e.added
+        else:
+            at, removed, partner = e.a, e.added, e.removed
         sign = _checked_sign(k, move, partner, e.kind, e.forward == (s > 0))
         word.append((removed, partner, sign))
         steps.append(s)
     walked = _WalkedWord(expr, tuple(word))
     walked.walk = (sk, Path(start, tuple(steps)))
     return walked
-
-
-def _unflippable(k, nesting, removed):
-    """The IllegalMoveError for move k when ``removed`` cannot be flipped at
-    a maximal nesting: it is absent, or it is the full nest."""
-    if removed in nesting:
-        return IllegalMoveError(k, FULL_NEST_FLIP)
-    return IllegalMoveError(k, f"nest {sorted(removed)} is not present")
 
 
 def _checked_sign(k, move, partner, kind, forward):

@@ -6,6 +6,13 @@ single nest, and 2-faces the nestings of size p - 3.  Every edge is a single
 nest replacement and is classified as a sequential move (the replaced and
 replacing nests share no top vertex) or a parallel move (they share it);
 the forward direction is the rewrite towards the unique normal form.
+
+Nests are vertex bitmasks and nestings frozensets of them, as in `trees`:
+vertices, the step table `out_step` (one row per vertex, keyed by the mask
+each step flips), `index` and face nestings are all spelled that way.  An
+edge's `removed` and `added` nests are frozensets of vertex ids, one shared
+frozenset per distinct nest, because words and their JSON name nests by
+ids; `cross` gives the skeleton's own walks the added mask.
 """
 
 from functools import lru_cache
@@ -27,14 +34,14 @@ FULL_NEST_FLIP = "the full nest cannot be flipped"
 class SkeletonEdge(NamedTuple):
     a: int
     b: int
-    removed: frozenset  # the nest present at endpoint a only
-    added: frozenset  # the nest present at endpoint b only
+    removed: frozenset  # vertex ids of the nest present at endpoint a only
+    added: frozenset  # vertex ids of the nest present at endpoint b only
     kind: str  # BETA or THETA
     forward: bool  # True when a -> b is the forward rewrite
 
 
 class TwoFace(NamedTuple):
-    nesting: frozenset  # p - 3 nests including the full nest
+    nesting: frozenset  # p - 3 nest masks including the full nest
     vertices: tuple  # boundary cycle as vertex indices
     steps: tuple  # boundary walk as signed edge steps
     shape: str  # "square" | "pentagon" | "hexagon", by boundary length
@@ -47,19 +54,17 @@ def classify_flip(tree, removed, added):
     The move is parallel (theta) when r lies in both nests, sequential
     (beta) otherwise.  Beta runs from the side whose nest contains r; theta
     from the side whose hanging piece sits at the smaller planar position.
+    Nests are masks, and a lowest set bit is a least vertex.
     """
-    removed = frozenset(removed)
-    added = frozenset(added)
-    if (
-        not removed & added
-        or removed <= added
-        or added <= removed
-    ):
+    common = removed & added
+    if common in (0, removed, added):
         raise MalformedEdgeError("the two nests must overlap without nesting")
-    r = min(removed | added)
-    if r in removed and r in added:
-        return THETA, min(removed - added) < min(added - removed)
-    return BETA, r in removed
+    union = removed | added
+    r = union & -union
+    if r & common:
+        only_removed, only_added = removed ^ common, added ^ common
+        return THETA, only_removed & -only_removed < only_added & -only_added
+    return BETA, bool(r & removed)
 
 
 def classify_edge(tree, nesting_a, nesting_b):
@@ -81,38 +86,41 @@ def flip_nest(tree, nesting, nest):
     the quotient of those pieces is a three-vertex tree, so exactly two
     groupings are connected and the flip swaps one for the other.
 
-    The nesting must be laminar, as `trees.pieces` requires.  One pass over
-    it finds the parent (the smallest enclosing nest) and the members
-    inside ``nest``; the three pieces are the two of ``nest`` and the rest
-    of the parent, which must itself be a member or a single vertex.
-    Raises MalformedEdgeError for the full nest and NotMaximalError when
-    the nesting is not maximal around ``nest``.
+    The nesting must be laminar (pairwise nested or disjoint).  One pass
+    over it finds the parent, the smallest enclosing nest, and the largest
+    member inside ``nest``.  A mask is numerically larger than each of its
+    proper subsets, so those are the least enclosing mask and the greatest
+    contained one; the latter is a piece of ``nest``.  The three pieces are
+    it, the rest of ``nest`` and the rest of the parent; each rest must be
+    a member or a single vertex.  Returns the new nesting and the added
+    nest.  Raises MalformedEdgeError for the full nest and NotMaximalError
+    when the nesting is not maximal around ``nest``.
     """
     parent = None
-    inside = []
+    largest = 0
     for m in nesting:
-        if nest < m:
-            if parent is None or len(m) < len(parent):
+        common = m & nest
+        if common == nest:
+            if m != nest and (parent is None or m < parent):
                 parent = m
-        elif m < nest:
-            inside.append(m)
+        elif common == m and m > largest:
+            largest = m
     if parent is None:
         raise MalformedEdgeError(FULL_NEST_FLIP)
-    parts = trees.pieces(inside, nest)
-    sibling = parent - nest
-    if len(parts) != 2 or not (len(sibling) == 1 or sibling in nesting):
+    first = largest or nest & -nest
+    parts = [first, nest ^ first, parent ^ nest]
+    if not all(q & (q - 1) == 0 or q in nesting for q in parts[1:]):
         raise NotMaximalError("dropping one nest must leave a ternary parent")
-    parts.append(sibling)
-    parts.sort(key=min)
-    top = parts[0]  # pieces are ordered by min id; the first holds the top
-    x, y = parts[1], parts[2]
-    hx, hy = _holder(tree, parts, x), _holder(tree, parts, y)
-    if hx is top and hy is top:
+    parts.sort(key=lambda m: m & -m)
+    # ordered by least vertex, so the first holds the top and the second
+    # hangs from it
+    top, x, y = parts
+    hang_x = tree.parent[trees.top_vertex(x)]
+    hang_y = tree.parent[trees.top_vertex(y)]
+    if top >> hang_x & 1 and top >> hang_y & 1:
         groupings = (top | x, top | y)
-    elif hx is top and hy is x:
+    elif top >> hang_x & 1 and x >> hang_y & 1:
         groupings = (top | x, x | y)
-    elif hy is top and hx is y:
-        groupings = (top | y, x | y)
     else:
         raise NotMaximalError("pieces do not form a three-vertex quotient tree")
     if nest == groupings[0]:
@@ -121,14 +129,7 @@ def flip_nest(tree, nesting, nest):
         added = groupings[0]
     else:
         raise NotMaximalError("the dropped nest is not a grouping of the pieces")
-    added = frozenset(added)
     return (nesting - {nest}) | {added}, added
-
-
-def _holder(tree, parts, piece):
-    """The piece holding the parent of a non-top piece's top vertex."""
-    pv = tree.parent[min(piece)]
-    return next(q for q in parts if pv in q)
 
 
 class Skeleton:
@@ -152,20 +153,31 @@ class Skeleton:
         out_step = [{} for _ in self.vertices]
         edge_map = {}
         for i, m in enumerate(self.vertices):
-            for nest in m - {full}:
-                if nest in out_step[i]:
+            row = out_step[i]
+            for nest in m:
+                if nest == full or nest in row:
                     continue
                 flipped, added = flip_nest(tree, m, nest)
                 j = self.index[flipped]
-                out_step[i][nest] = j
+                row[nest] = j
                 out_step[j][added] = i
-                kind, forward = classify_flip(tree, nest, added)
-                edge_map[(i, j)] = SkeletonEdge(i, j, nest, added, kind, forward)
-        edge_index = {key: idx for idx, key in enumerate(sorted(edge_map))}
-        self.edges = [edge_map[key] for key in edge_index]
+                edge_map[(i, j)] = (nest, added)
+        # one frozenset of vertex ids per distinct nest, shared by the edges
+        ids = {}
+        for nest in {n for pair in edge_map.values() for n in pair}:
+            ids[nest] = frozenset(trees.nest_vertices(nest))
+        self.edges = []
+        self._arrivals = {}  # signed step -> (vertex, nest mask) it arrives at and adds
+        step = {}  # (a, b) -> the step from a to b, edge id + 1
+        for (i, j), (removed, added) in sorted(edge_map.items()):
+            kind, forward = classify_flip(tree, removed, added)
+            self.edges.append(SkeletonEdge(i, j, ids[removed], ids[added], kind, forward))
+            s = step[(i, j)] = len(self.edges)
+            self._arrivals[s] = (j, added)
+            self._arrivals[-s] = (i, removed)
         for i, row in enumerate(out_step):
             for nest, j in row.items():
-                row[nest] = edge_index[(i, j)] + 1 if i < j else -edge_index[(j, i)] - 1
+                row[nest] = step[(i, j)] if i < j else -step[(j, i)]
         self.out_step = out_step
 
         self.faces = self._build_faces()
@@ -183,28 +195,31 @@ class Skeleton:
     def _build_faces(self):
         """Every 2-face, each once: a face nesting is a vertex's nesting less
         two of its non-full nests, and its boundary walks from the vertex
-        across those two free nests alternately.  Each face is first met at
-        its least vertex; its cycle starts there and runs towards the
+        across those two free nests alternately.  Each face is walked from
+        its least vertex only; its cycle starts there and runs towards the
         smaller of the two neighbours."""
         walks = {}
         for i, m in enumerate(self.vertices):
-            row = self.out_step[i]
-            for n1, n2 in combinations(row, 2):
-                nesting = m - {n1, n2}
-                if nesting in walks:
+            across = [(self.cross(s)[0], nest) for nest, s in self.out_step[i].items()]
+            for (j1, n1), (j2, n2) in combinations(across, 2):
+                if j1 < i or j2 < i:
                     continue
-                if self.cross(row[n2])[0] < self.cross(row[n1])[0]:
+                if j2 < j1:
                     n1, n2 = n2, n1
-                walks[nesting] = self._walk_face(i, n1, n2)
+                walk = self._walk_face(i, n1, n2)
+                if walk is not None:
+                    walks[m - {n1, n2}] = walk
         faces = []
-        for nesting in sorted(walks, key=trees.nesting_sort_key):
+        for nesting in trees.sort_nestings(walks):
             cycle, steps = walks[nesting]
             faces.append(TwoFace(nesting, cycle, steps, SHAPE_BY_LENGTH[len(cycle)]))
         return faces
 
     def _walk_face(self, start, n1, n2):
         """The boundary cycle and steps from `start` crossing n1 first, then
-        the two free nests in turn; a boundary is at most a hexagon."""
+        the two free nests in turn; a boundary is at most a hexagon.  None
+        when the walk meets a vertex below `start`, which is not then the
+        face's least vertex."""
         cycle, steps = [start], []
         at, leave, other = start, n1, n2
         while True:
@@ -213,15 +228,16 @@ class Skeleton:
             at, added = self.cross(s)
             if at == start:
                 return tuple(cycle), tuple(steps)
+            if at < start:
+                return None
             if len(cycle) == 6:
                 raise ShapeError("2-face boundary does not close within six steps")
             cycle.append(at)
             leave, other = other, added
 
     def cross(self, s):
-        """(vertex, nest) that the signed step s arrives at and adds."""
-        e = self.edges[abs(s) - 1]
-        return (e.b, e.added) if s > 0 else (e.a, e.removed)
+        """(vertex, nest mask) that the signed step s arrives at and adds."""
+        return self._arrivals[s]
 
     # -- queries ---------------------------------------------------------------
 

@@ -11,6 +11,13 @@ Vertex ids are always 0..p-1 in pre-order with the root at 0, so the minimum
 id of a connected set is the vertex of that set closest to the root, and
 comparing minimum ids of disjoint hanging subtrees compares their planar
 (left-to-right) positions.
+
+A nest is an ``int`` bitmask over the vertices, bit v standing for vertex v,
+and a nesting is a frozenset of such masks.  The least vertex of a nest is
+its lowest set bit, containment and disjointness are ``&`` tests, and a
+mask is numerically larger than each of its proper subsets.  Vertex-id
+sets appear only at the boundary: ``nest_mask`` and ``nest_vertices``
+convert, and ``nesting_to_json`` prints.
 """
 
 import re
@@ -96,62 +103,35 @@ class PlanarTree:
     def label(self, v):
         return self.labels[v]
 
-    def neighbors(self, v):
-        if self.parent[v] is None:
-            return self.children[v]
-        return (self.parent[v],) + self.children[v]
-
-    def is_connected(self, vertices):
-        vs = set(vertices)
-        if not vs:
+    def is_connected(self, nest):
+        """Whether the vertex mask ``nest`` is nonempty and connected: every
+        vertex but its least has its parent in it."""
+        if not nest:
             return False
-        start = min(vs)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
-                if w in vs and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == vs
+        return all(nest >> self.parent[v] & 1 for v in nest_vertices(nest & (nest - 1)))
 
-    def root_of(self, vertices):
-        """Topmost vertex of a connected set: the one with minimum pre-order id."""
-        return min(vertices)
-
-    def free_inputs(self, vertices):
-        """Planar sequence of open inputs of the subtree induced by ``vertices``.
-
-        Entries are ("leaf", v, segment, offset) for a leaf of v, or
-        ("child", c) for an edge to a child c outside the set.  For the full
-        vertex set this lists exactly the leaves of the tree.
-        """
-        vs = set(vertices)
-        out = []
-
-        def visit(v):
-            cs = self.children[v]
-            ls = self.leaf_slots[v]
-            for seg in range(len(cs) + 1):
-                for j in range(ls[seg]):
-                    out.append(("leaf", v, seg, j))
-                if seg < len(cs):
-                    c = cs[seg]
-                    if c in vs:
-                        visit(c)
-                    else:
-                        out.append(("child", c))
-
-        visit(self.root_of(vs))
-        return out
-
-    def attachment_slot(self, vertices, child_root):
+    def attachment_slot(self, nest, child_root):
         """1-based planar input position of ``child_root``'s parent edge among
-        the free inputs of ``vertices``."""
-        for i, entry in enumerate(self.free_inputs(vertices), start=1):
-            if entry[0] == "child" and entry[1] == child_root:
-                return i
+        the open inputs of the connected vertex mask ``nest``.
+
+        The inputs are the leaves of the nest's vertices and the edges to
+        children outside it, read left to right over an explicit stack."""
+        position = 0
+        stack = [(False, top_vertex(nest))]
+        while stack:
+            is_leaves, x = stack.pop()
+            if is_leaves:
+                position += x
+            elif nest >> x & 1:
+                slots = self.leaf_slots[x]
+                items = [(True, slots[0])]
+                for c, leaves in zip(self.children[x], slots[1:]):
+                    items += [(False, c), (True, leaves)]
+                stack += reversed(items)
+            elif x == child_root:
+                return position + 1
+            else:
+                position += 1
         raise ValueError(f"vertex {child_root} does not hang off the given set")
 
     def __eq__(self, other):
@@ -268,16 +248,43 @@ def enumerate_ordered_trees(p):
 # Nests and nestings
 
 
+def nest_mask(vertices, p):
+    """The bitmask of a set of vertex ids of a tree with p vertices: bit v
+    is vertex v.  Each id is checked against 0..p-1 before it becomes a
+    shift; an id outside gives 0, which is no nest."""
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < p:
+            return 0
+        mask |= 1 << v
+    return mask
+
+
+def nest_vertices(mask):
+    """The vertex ids of a nest mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def top_vertex(mask):
+    """The least vertex of a nonempty mask: its top, ids being in pre-order."""
+    return (mask & -mask).bit_length() - 1
+
+
 def full_nest(tree):
-    return frozenset(range(tree.p))
+    return (1 << tree.p) - 1
 
 
 def nest_is_valid(tree, nest):
-    return len(nest) >= 2 and tree.is_connected(nest)
+    return 0 <= nest < 1 << tree.p and nest.bit_count() >= 2 and tree.is_connected(nest)
 
 
 def nests_compatible(a, b):
-    return a <= b or b <= a or not (a & b)
+    return a & b in (0, a, b)
 
 
 def nesting_is_valid(tree, nesting):
@@ -295,29 +302,35 @@ def pieces(nesting, nest):
     """Immediate pieces of ``nest`` relative to a family of nests.
 
     The pieces are the maximal members of the family properly contained in
-    ``nest``, together with singletons for the vertices of ``nest`` covered
-    by none of them.  They partition ``nest``; ordered by minimum id.
+    ``nest``, together with single-vertex masks for the vertices of
+    ``nest`` covered by none of them.  They partition ``nest``; ordered by
+    least vertex.
 
     The family must be laminar (pairwise nested or disjoint), as every
     nesting is.  Then a contained member is maximal exactly when it misses
-    every larger one, so one sweep by decreasing size keeps each member
-    that misses all those kept before it.
+    every larger one, and a mask is numerically larger than each of its
+    proper subsets, so one sweep by decreasing mask keeps each member that
+    misses all those kept before it.
     """
     parts = []
-    covered = set()
-    for m in sorted((m for m in nesting if m < nest), key=len, reverse=True):
-        if covered.isdisjoint(m):
+    covered = 0
+    for m in sorted((m for m in nesting if m != nest and m & nest == m), reverse=True):
+        if not covered & m:
             parts.append(m)
             covered |= m
-    parts += [frozenset([v]) for v in nest - covered]
-    parts.sort(key=min)
+    rest = nest & ~covered
+    while rest:
+        low = rest & -rest
+        parts.append(low)
+        rest ^= low
+    parts.sort(key=lambda m: m & -m)
     return parts
 
 
 def validate_maximal_nesting(tree, nesting):
     """Raise NotMaximalError unless ``nesting`` is a maximal nesting of ``tree``."""
     p = tree.p
-    nesting = frozenset(frozenset(n) for n in nesting)
+    nesting = frozenset(nesting)
     if p == 1:
         if nesting:
             raise NotMaximalError("a one-vertex tree has only the empty nesting")
@@ -332,7 +345,7 @@ def validate_maximal_nesting(tree, nesting):
         parts = pieces(nesting, nest)
         if len(parts) != 2:
             raise NotMaximalError(
-                f"nest {sorted(nest)} has {len(parts)} immediate pieces, expected 2"
+                f"nest {nest_vertices(nest)} has {len(parts)} immediate pieces, expected 2"
             )
     return nesting
 
@@ -346,76 +359,90 @@ def is_maximal_nesting(tree, nesting):
 
 
 def connected_subsets(tree, allowed):
-    """All nonempty connected subsets of ``allowed``, sorted by (size, members)."""
-    allowed = frozenset(allowed)
+    """All nonempty connected subsets of the mask ``allowed``, as masks
+    sorted by (size, members)."""
+    neighbours = [0] * tree.p
+    for v in range(1, tree.p):
+        neighbours[v] |= 1 << tree.parent[v]
+        neighbours[tree.parent[v]] |= 1 << v
     found = set()
-
-    def grow(cur):
+    stack = [1 << v for v in nest_vertices(allowed)]
+    while stack:
+        cur = stack.pop()
         if cur in found:
-            return
+            continue
         found.add(cur)
-        boundary = set()
-        for v in cur:
-            for w in tree.neighbors(v):
-                if w in allowed and w not in cur:
-                    boundary.add(w)
-        for w in sorted(boundary):
-            grow(cur | {w})
-
-    for v in sorted(allowed):
-        grow(frozenset([v]))
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+        boundary = 0
+        for v in nest_vertices(cur):
+            boundary |= neighbours[v]
+        boundary &= allowed & ~cur
+        while boundary:
+            low = boundary & -boundary
+            stack.append(cur | low)
+            boundary ^= low
+    return sorted(found, key=nest_key)
 
 
 def enumerate_nests(tree):
-    """All nests of the tree, sorted by size then members."""
-    return [s for s in connected_subsets(tree, range(tree.p)) if len(s) >= 2]
+    """All nests of the tree as masks, sorted by size then members."""
+    return [s for s in connected_subsets(tree, full_nest(tree)) if s & (s - 1)]
 
 
-def nesting_sort_key(nesting):
-    return tuple(sorted((len(n),) + tuple(sorted(n)) for n in nesting))
+def nest_key(nest):
+    """(size, members) of a nest: the order nests sort by."""
+    members = nest_vertices(nest)
+    return (len(members), *members)
+
+
+def sort_nestings(nestings):
+    """``nestings`` sorted by the sorted tuple of their nests' keys.  Each
+    distinct nest's key is computed once and replaced by its rank, which
+    orders nestings alike."""
+    nests = sorted(set().union(*nestings), key=nest_key)
+    rank = {n: r for r, n in enumerate(nests)}.__getitem__
+    return sorted(nestings, key=lambda m: sorted(map(rank, m)))
 
 
 def enumerate_maximal_nestings(tree):
-    """All maximal nestings, in a deterministic order.
+    """All maximal nestings, in the order of sort_nestings.
 
     Recursive binary decomposition: a connected set S with more than one
-    vertex splits as (S - Q, Q) for every connected Q not containing the top
-    of S whose complement in S stays connected; each split contributes the
-    nest S and the maximal nestings of both sides.
+    vertex splits as (S - Q, Q) where Q is the part of S at and below one of
+    its vertices other than its top.  Those are exactly the splits into two
+    connected sides, since a side without the top hangs from the rest by one
+    edge.  Each split contributes the nest S and the maximal nestings of both
+    sides.
     """
+    below = [1 << v for v in range(tree.p)]  # each vertex's subtree
+    for v in range(tree.p - 1, 0, -1):
+        below[tree.parent[v]] |= below[v]
     memo = {}
 
-    def splits(S):
-        top = min(S)
-        rest = S - {top}
-        out = []
-        for Q in connected_subsets(tree, rest):
-            if tree.is_connected(S - Q):
-                out.append(Q)
-        return out
-
     def rec(S):
-        if S in memo:
-            return memo[S]
-        if len(S) == 1:
-            memo[S] = [frozenset()]
-            return memo[S]
+        found = memo.get(S)
+        if found is not None:
+            return found
         out = []
-        for Q in splits(S):
-            for left in rec(S - Q):
-                for right in rec(Q):
-                    out.append(left | right | {S})
+        if S & (S - 1):
+            rest = S & (S - 1)  # S without its top
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                Q = S & below[low.bit_length() - 1]
+                rights = rec(Q)
+                for left in rec(S ^ Q):
+                    for right in rights:
+                        out.append(left.union(right, (S,)))
+        else:
+            out.append(frozenset())
         memo[S] = out
         return out
 
-    result = rec(full_nest(tree))
-    result.sort(key=nesting_sort_key)
-    return result
+    return sort_nestings(rec(full_nest(tree)))
 
 
 def nesting_to_json(nesting):
-    return sorted([sorted(n) for n in nesting], key=lambda ids: (len(ids), ids))
+    return sorted(map(nest_vertices, nesting), key=lambda ids: (len(ids), ids))
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +450,46 @@ def nesting_to_json(nesting):
 
 
 class Expression:
-    """Base class for the binary syntax trees of operadic composites."""
+    """Base class for the binary syntax trees of operadic composites.
 
-    __slots__ = ()
+    Equality, hashing and text walk the tree with an explicit stack or are
+    cached at construction, so expressions of any depth compare, hash and
+    print."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            if isinstance(a, Generator):
+                if a.name != b.name or a.arity != b.arity:
+                    return False
+            elif a.slot != b.slot:
+                return False
+            else:
+                pairs += ((a.right, b.right), (a.left, b.left))
+        return True
+
+    def __str__(self):
+        out = []
+        stack = [self]
+        while stack:
+            e = stack.pop()
+            if type(e) is str:
+                out.append(e)
+            elif isinstance(e, Generator):
+                out.append(f"{e.name}:{e.arity}")
+            else:
+                stack += (")", e.right, f" o{e.slot} ", e.left, "(")
+        return "".join(out)
 
 
 class Generator(Expression):
@@ -438,19 +502,7 @@ class Generator(Expression):
             raise ArityError(f"generator {name!r} must have arity >= 1, got {arity}")
         self.name = name
         self.arity = arity
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Generator)
-            and self.name == other.name
-            and self.arity == other.arity
-        )
-
-    def __hash__(self):
-        return hash(("gen", self.name, self.arity))
-
-    def __str__(self):
-        return f"{self.name}:{self.arity}"
+        self._hash = hash(("gen", name, arity))
 
     def __repr__(self):
         return f"Generator({self.name!r}, {self.arity})"
@@ -470,20 +522,7 @@ class Composition(Expression):
         self.right = right
         self.slot = slot
         self.arity = left.arity + right.arity - 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Composition)
-            and self.left == other.left
-            and self.right == other.right
-            and self.slot == other.slot
-        )
-
-    def __hash__(self):
-        return hash(("comp", self.left, self.right, self.slot))
-
-    def __str__(self):
-        return f"({self.left} o{self.slot} {self.right})"
+        self._hash = hash(("comp", left._hash, right._hash, slot))
 
     def __repr__(self):
         return f"Composition({self.left!r}, {self.right!r}, {self.slot})"
@@ -493,7 +532,8 @@ def parse_expression(text):
     """Parse ``expr := name ":" arity | "(" expr "o" slot expr ")"``.
 
     Whitespace-insensitive.  Raises ParseError on malformed text and
-    ArityError when a slot falls outside 1..arity(left).
+    ArityError when a slot falls outside 1..arity(left).  Open compositions
+    wait on an explicit stack, so any depth parses.
     """
     pos = 0
     n = len(text)
@@ -514,25 +554,17 @@ def parse_expression(text):
         pos = m.end()
         return int(m.group())
 
-    def expr():
-        nonlocal pos
+    # one entry per open "(": None until its left operand is read, then
+    # (left, slot) while its right operand is read
+    pending = []
+    while True:
         skip()
         if pos >= n:
             fail("unexpected end of input")
         if text[pos] == "(":
             pos += 1
-            left = expr()
-            skip()
-            if pos >= n or text[pos] != "o":
-                fail("expected composition operator 'o<slot>'")
-            pos += 1
-            slot = read_int()
-            right = expr()
-            skip()
-            if pos >= n or text[pos] != ")":
-                fail("expected ')'")
-            pos += 1
-            return Composition(left, right, slot)
+            pending.append(None)
+            continue
         m = _NAME_RE.match(text, pos)
         if not m:
             fail("expected a generator name")
@@ -542,14 +574,26 @@ def parse_expression(text):
             fail("expected ':' after generator name")
         pos += 1
         skip()
-        arity = read_int()
-        return Generator(m.group(), arity)
+        done = Generator(m.group(), read_int())
+        while pending and pending[-1] is not None:
+            left, slot = pending.pop()
+            skip()
+            if pos >= n or text[pos] != ")":
+                fail("expected ')'")
+            pos += 1
+            done = Composition(left, done, slot)
+        if not pending:
+            break
+        skip()
+        if pos >= n or text[pos] != "o":
+            fail("expected composition operator 'o<slot>'")
+        pos += 1
+        pending[-1] = (done, read_int())
 
-    result = expr()
     skip()
     if pos != n:
         fail("trailing input after expression")
-    return result
+    return done
 
 
 def expression_to_nesting(expr):
@@ -618,7 +662,12 @@ def expression_to_nesting(expr):
         children.append([idmap[child] for _, child in kids[g]])
         leaf_slots.append(slots)
     tree = PlanarTree(children, leaf_slots, [labels[g] for g in order])
-    nesting = frozenset(frozenset(idmap[first:end]) for first, end in ranges)
+    # each vertex is one occurrence, so a range of occurrences is the XOR of
+    # two prefixes of their bits
+    prefix = [0]
+    for v in idmap:
+        prefix.append(prefix[-1] ^ (1 << v))
+    nesting = frozenset(prefix[end] ^ prefix[first] for first, end in ranges)
     return tree, nesting
 
 
@@ -642,20 +691,27 @@ def _locate_input(runs, slot, arity):
 def nesting_to_expression(tree, nesting):
     """Fold a maximal nesting back into an expression; inverse of
     expression_to_nesting up to generator labels.  Unlabelled vertices are
-    rendered as ``v<id>``."""
+    rendered as ``v<id>``.  The fold runs over an explicit stack, so any
+    depth folds."""
     if tree.p == 1:
         if nesting:
             raise NotMaximalError("a one-vertex tree has only the empty nesting")
         return Generator(tree.label(0) or "v0", tree.arity(0))
     nesting = validate_maximal_nesting(tree, nesting)
 
-    def expr_of(part):
-        if len(part) == 1:
-            v = min(part)
-            return Generator(tree.label(v) or f"v{v}", tree.arity(v))
-        outer, inner = pieces(nesting, part)
-        # pieces() sorts by minimum id, so `outer` holds the top of `part`
-        slot = tree.attachment_slot(outer, min(inner))
-        return Composition(expr_of(outer), expr_of(inner), slot)
-
-    return expr_of(full_nest(tree))
+    done = []
+    stack = [full_nest(tree)]  # masks to fold, and slots of pending grafts
+    while stack:
+        part = stack.pop()
+        if type(part) is tuple:
+            right = done.pop()
+            done[-1] = Composition(done[-1], right, part[0])
+        elif part & (part - 1):
+            outer, inner = pieces(nesting, part)
+            # pieces() sorts by least vertex, so `outer` holds the top of `part`
+            slot = tree.attachment_slot(outer, top_vertex(inner))
+            stack += ((slot,), inner, outer)
+        else:
+            v = top_vertex(part)
+            done.append(Generator(tree.label(v) or f"v{v}", tree.arity(v)))
+    return done[0]

@@ -17,12 +17,21 @@ recursive expression unfolding is the engine's original one, the
 reference for its one-pass iterative unfolding, and the piece-based face
 classifier is its original one, the reference for reading a face's shape
 off its boundary length.
+
+Nests here are frozensets of vertex ids, where the engine spells them as
+bitmasks; `vertex_set` converts a mask the engine hands over with no engine
+code.
 """
 
 import functools
 import itertools
 import math
 from fractions import Fraction
+
+
+def vertex_set(mask):
+    """The vertex ids of a nest the engine spells as a bitmask (bit v = v)."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def adjacency(tree):
@@ -492,13 +501,15 @@ def _quotient_template(tree, parts):
 
 
 def face_shape(tree, face_nesting):
-    """(shape, template) of a 2-face nesting, from its piece decomposition.
+    """(shape, template) of a 2-face nesting of bitmasks, from its piece
+    decomposition.
 
     A 2-face concentrates its excess in either one nest with four pieces
     (one of the five 4-vertex configurations: the first three are pentagons,
     the last two hexagons) or two nests with three pieces each (a square
     witnessing two commuting moves, with nested or disjoint supports).
     """
+    face_nesting = frozenset(map(vertex_set, face_nesting))
     ternary = []
     quaternary = []
     for nest in face_nesting:

@@ -252,10 +252,11 @@ def test_criterion_9_maclane_mode():
         nodes, arcs = oracles.tamari_digraph(n)
         assert len(sk.vertices) == oracles.catalan(n - 1) == len(nodes)
         assert len(sk.edges) == len(arcs)
+        sets = [frozenset(map(oracles.vertex_set, m)) for m in sk.vertices]
         directed = set()
         for e in sk.edges:
             src, dst = (e.a, e.b) if e.forward else (e.b, e.a)
-            directed.add((sk.vertices[src], sk.vertices[dst]))
+            directed.add((sets[src], sets[dst]))
         assert directed == arcs
     expr = co.maclane_parse("((ab)c)d")
     tree, nesting = co.trees.expression_to_nesting(expr)

@@ -404,6 +404,65 @@ def test_sugared_words_unfold_the_object_once_each(monkeypatch, capsys, tmp_path
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("second", ["text", "file"])
+def test_word_file_first_with_expr_unfolds_once_per_word(monkeypatch, capsys, tmp_path,
+                                                        second):
+    """A word file read before any sugared word, whose object is --expr
+    itself, lives on the object's tree: only each word's replay unfolds."""
+    from operahedra import cli, trees
+
+    unfold = trees.expression_to_nesting
+    calls = []
+
+    def counted(expr):
+        calls.append(expr)
+        return unfold(expr)
+
+    monkeypatch.setattr(trees, "expression_to_nesting", counted)
+    word = _word_file(tmp_path)
+    w2 = "beta@0.1.2" if second == "text" else word
+    argv = ["--expr", PENTAGON_EXPR, "--w1", word, "--w2", w2]
+    assert cli.main(["check", "coherence"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["equal"] is True
+    assert len(calls) == 2
+
+
+def test_word_file_on_another_expr_exits_2(capsys, tmp_path):
+    from operahedra import cli
+
+    word = _word_file(tmp_path)
+    code = cli.main(["check", "coherence", "--expr", "((k:1 o1 t:1) o1 m:1)",
+                     "--w1", word, "--w2", "beta@0.1"])
+    assert code == 2
+    assert "does not live on the given tree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("vertex", [-1, 4, 99999999999])
+def test_nest_ids_out_of_range_are_absent_nests(capsys, tmp_path, form, vertex):
+    """Ids outside 0..p-1 are refused before they become bit shifts, with
+    the message and exit code of any absent nest.  A sugared token cannot
+    spell a negative id, so that one is a bad token."""
+    from operahedra import cli
+
+    if form == "text":
+        w1 = f"beta@0.1.2 beta@0.{vertex}"
+    else:
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"object": PENTAGON_EXPR, "moves": [
+            {"remove": [0, 1, 2]}, {"remove": [0, vertex]}]}))
+        w1 = str(path)
+    code = cli.main(["check", "coherence", "--expr", PENTAGON_EXPR,
+                     "--w1", w1, "--w2", ""])
+    err = capsys.readouterr().err
+    assert code == 2
+    if form == "text" and vertex < 0:
+        assert f"error: move 1: bad token 'beta@0.{vertex}'" in err
+    else:
+        assert f"error: move 1: nest {sorted([0, vertex])} is not present" in err
+    assert "Traceback" not in err
+
+
 def test_word_file_on_another_tree_exits_2(capsys, tmp_path):
     from operahedra import cli
 

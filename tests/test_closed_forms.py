@@ -4,6 +4,7 @@ reaches and then used to check the engine past it; and the construct
 recurrence of the line graph, which gives the f-vector of every tree."""
 
 import math
+import random
 
 import pytest
 
@@ -56,6 +57,44 @@ def test_every_tree_with_p7_matches_construct_recurrence():
         assert (v, e, f) == oracles.construct_f_vector(tree)
         assert 2 * e == v * (p - 2)
         assert sum(len(face.vertices) for face in sk.faces) == v * math.comb(p - 2, 2)
+
+
+def random_tree(p, rng):
+    """A seeded random planar tree with ids in pre-order: each new vertex
+    hangs from a vertex of the rightmost path so far, half the time the
+    last one, which keeps some trees long and their operahedra small."""
+    children = [[] for _ in range(p)]
+    path = [0]
+    for v in range(1, p):
+        k = len(path) - 1 if rng.random() < 0.5 else rng.randrange(len(path))
+        children[path[k]].append(v)
+        del path[k + 1 :]
+        path.append(v)
+    return PlanarTree(children)
+
+
+def test_seeded_random_trees_p8_to_10_match_construct_recurrence():
+    """Random trees with p = 8, 9 and 10 whose operahedron has at most
+    3000 vertices, by the recurrence, against the skeleton, with the
+    identities of the p = 7 test.  The associahedron has the fewest
+    vertices of all operahedra of a size, and at p = 10 it already has
+    Catalan(9) = 4862, so the cap leaves every p = 10 tree to the
+    recurrence alone."""
+    rng = random.Random(2026)
+    checked = {8: 0, 9: 0, 10: 0}
+    for p in (8, 9, 10):
+        for _ in range(8):
+            tree = random_tree(p, rng)
+            v, e, f = oracles.construct_f_vector(tree)
+            assert v >= oracles.catalan(p - 1)
+            if v > 3000:
+                continue
+            sk = Skeleton(tree)
+            assert sk.f_vector() == (v, e, f)
+            assert 2 * e == v * (p - 2)
+            assert sum(len(face.vertices) for face in sk.faces) == v * math.comb(p - 2, 2)
+            checked[p] += 1
+    assert checked[8] >= 4 and checked[9] >= 1 and checked[10] == 0
 
 
 def test_stirling_numbers():

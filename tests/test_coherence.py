@@ -12,6 +12,8 @@ from operahedra.trees import (
     enumerate_nests,
     enumerate_ordered_trees,
     expression_to_nesting,
+    full_nest,
+    nest_mask,
     nesting_to_expression,
     parse_expression,
 )
@@ -340,13 +342,15 @@ def test_illegal_moves_report_one_index_from_every_front_end():
     sk, path = prefix.walk
     tree = sk.tree
     current = sk.vertices[validate_path(sk.complex, path)]
-    full = frozenset(range(tree.p))
-    nest = min(current - {full}, key=sorted)
+    full = full_nest(tree)
+    nest = min(current - {full}, key=lambda n: sorted(oracles.vertex_set(n)))
     _, partner = flip_nest(tree, current, nest)
     kind, forward = classify_flip(tree, nest, partner)
     sign = 1 if forward else -1
     other_kind = "theta" if kind == "beta" else "beta"
     absent = next(n for n in enumerate_nests(tree) if n not in current)
+    # words name nests by their vertex ids
+    absent, full, nest, partner = map(oracles.vertex_set, (absent, full, nest, partner))
     # (removed, added, sign, kind), the front ends that can state it, and
     # the reason each must give
     cases = [
@@ -405,15 +409,17 @@ def test_word_to_path_follows_replay_on_random_walks():
     for p in range(1, 7):
         for tree in enumerate_ordered_trees(p):
             sk = build_skeleton(tree)
-            full = frozenset(range(tree.p))
+            full = full_nest(tree)
             for _ in range(3):
                 start = rng.randrange(len(sk.vertices))
                 current, moves = sk.vertices[start], []
                 visited = [current]
                 for _ in range(rng.randrange(0, 15) if p > 2 else 0):
-                    nest = rng.choice(sorted(current - {full}, key=sorted))
+                    nest = rng.choice(sorted(
+                        current - {full}, key=lambda n: sorted(oracles.vertex_set(n))
+                    ))
                     current, _ = flip_nest(tree, current, nest)
-                    moves.append((nest, None, None, None))
+                    moves.append((oracles.vertex_set(nest), None, None, None))
                     visited.append(current)
                 expr = sk.expression_of(start)
                 word = co.replay(expr, moves)
@@ -442,7 +448,7 @@ def test_word_to_path_and_decide_do_not_flip_nests(monkeypatch):
     monkeypatch.setattr(skeleton, "flip_nest", refuse)
     assert not hasattr(co, "flip_nest")
     start = sk.index[expression_to_nesting(expr)[1]]
-    step = sk.out_step[start][frozenset({0, 1})]
+    step = sk.out_step[start][nest_mask({0, 1}, 4)]
     word = co.parse_word_text(expr, "beta@0.1")
     assert co.word_to_path(word) == (sk, Path(start, (step,)))
     with pytest.raises(RuntimeError):  # the patch is live: building flips

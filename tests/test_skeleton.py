@@ -14,7 +14,7 @@ from operahedra.skeleton import (
     classify_flip,
     flip_nest,
 )
-from operahedra.trees import PlanarTree, enumerate_ordered_trees
+from operahedra.trees import PlanarTree, enumerate_ordered_trees, nest_mask
 
 GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__), "golden", "skeletons.json")))
 
@@ -47,18 +47,18 @@ def test_golden_matches_brute_force(name):
 def test_beta_classification_on_chain():
     # ((ab)c) -> (a(bc)): remove {a,b}, add {b,c}
     tree = PlanarTree.linear(3)
-    kind, forward = classify_flip(tree, frozenset({0, 1}), frozenset({1, 2}))
+    kind, forward = classify_flip(tree, nest_mask({0, 1}, 3), nest_mask({1, 2}, 3))
     assert kind == BETA and forward
-    kind, forward = classify_flip(tree, frozenset({1, 2}), frozenset({0, 1}))
+    kind, forward = classify_flip(tree, nest_mask({1, 2}, 3), nest_mask({0, 1}, 3))
     assert kind == BETA and not forward
 
 
 def test_theta_classification_on_corolla():
     # root 0 with children 1 (first slot) and 2 (second): {0,1} -> {0,2}
     tree = PlanarTree.corolla(2)
-    kind, forward = classify_flip(tree, frozenset({0, 1}), frozenset({0, 2}))
+    kind, forward = classify_flip(tree, nest_mask({0, 1}, 3), nest_mask({0, 2}, 3))
     assert kind == THETA and forward
-    kind, forward = classify_flip(tree, frozenset({0, 2}), frozenset({0, 1}))
+    kind, forward = classify_flip(tree, nest_mask({0, 2}, 3), nest_mask({0, 1}, 3))
     assert kind == THETA and not forward
 
 
@@ -85,7 +85,7 @@ def test_flip_is_an_involution():
     for tree in enumerate_ordered_trees(5):
         for m in build_skeleton(tree).vertices:
             for nest in m:
-                if nest == frozenset(range(tree.p)):
+                if nest == trees.full_nest(tree):
                     continue
                 flipped, added = flip_nest(tree, m, nest)
                 back, re_added = flip_nest(tree, flipped, added)
@@ -98,7 +98,8 @@ def test_edges_share_all_but_one_nest():
         for e in sk.edges:
             a, b = sk.vertices[e.a], sk.vertices[e.b]
             assert len(a & b) == name.p - 2
-            assert a - b == {e.removed} and b - a == {e.added}
+            assert a - b == {nest_mask(e.removed, name.p)}
+            assert b - a == {nest_mask(e.added, name.p)}
 
 
 def test_face_boundaries_are_4_5_or_6_everywhere():
@@ -199,11 +200,12 @@ def test_tamari_digraph_matches_rotation_oracle():
         tree = PlanarTree.linear(p)
         sk = build_skeleton(tree)
         nodes, arcs = oracles.tamari_digraph(p)
-        assert set(sk.vertices) == nodes
+        sets = [frozenset(map(oracles.vertex_set, m)) for m in sk.vertices]
+        assert set(sets) == nodes
         ours = set()
         for e in sk.edges:
             src, dst = (e.a, e.b) if e.forward else (e.b, e.a)
-            ours.add((sk.vertices[src], sk.vertices[dst]))
+            ours.add((sets[src], sets[dst]))
         assert ours == arcs
 
 
@@ -260,9 +262,10 @@ def test_pieces_sweep_matches_pairwise_definition():
         for tree in enumerate_ordered_trees(p):
             sk = build_skeleton(tree)
             for nesting in list(sk.vertices) + [f.nesting for f in sk.faces]:
+                sets = frozenset(map(oracles.vertex_set, nesting))
                 for nest in nesting:
-                    got = trees.pieces(nesting, nest)
-                    assert got == oracles.pieces_pairwise(nesting, nest)
+                    got = list(map(oracles.vertex_set, trees.pieces(nesting, nest)))
+                    assert got == oracles.pieces_pairwise(sets, oracles.vertex_set(nest))
                     checked += 1
     assert checked > 10000
 
@@ -279,4 +282,4 @@ def test_step_table_matches_edges():
                 tail, head = sk.complex.step_ends(s)
                 assert tail == i
                 e = sk.edges[abs(s) - 1]
-                assert (e.removed if s > 0 else e.added) == nest
+                assert nest_mask(e.removed if s > 0 else e.added, tree.p) == nest

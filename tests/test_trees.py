@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from operahedra.errors import ArityError, NotMaximalError, ParseError
+from operahedra.skeleton import build_skeleton
 from operahedra.trees import (
     Composition,
     Generator,
@@ -15,6 +16,7 @@ from operahedra.trees import (
     expression_to_nesting,
     full_nest,
     is_maximal_nesting,
+    nest_mask,
     nesting_to_expression,
     nests_compatible,
     parse_expression,
@@ -67,7 +69,9 @@ def test_linear_composition_unfolds_to_chain():
     e = parse_expression("((k:1 o1 t:1) o1 m:1)")
     tree, nesting = expression_to_nesting(e)
     assert tree.children == ((1,), (2,), ())
-    assert nesting == frozenset({frozenset({0, 1}), frozenset({0, 1, 2})})
+    assert frozenset(map(oracles.vertex_set, nesting)) == frozenset(
+        {frozenset({0, 1}), frozenset({0, 1, 2})}
+    )
 
 
 def test_figure_nesting():
@@ -76,7 +80,7 @@ def test_figure_nesting():
     e = parse_expression("((((k:3 o1 t:1) o1 m:1) o2 n:1) o3 r:1)")
     tree, nesting = expression_to_nesting(e)
     assert tree.labels == ("k", "t", "m", "n", "r")
-    assert nesting == frozenset(
+    assert frozenset(map(oracles.vertex_set, nesting)) == frozenset(
         {
             frozenset({0, 1}),
             frozenset({0, 1, 2}),
@@ -95,9 +99,7 @@ def test_single_generator_gives_point():
 
 def test_nesting_to_expression_right_comb():
     tree = PlanarTree.linear(4, labels=list("abcd"))
-    nesting = frozenset(
-        {frozenset({2, 3}), frozenset({1, 2, 3}), frozenset({0, 1, 2, 3})}
-    )
+    nesting = frozenset(nest_mask(n, 4) for n in [{2, 3}, {1, 2, 3}, {0, 1, 2, 3}])
     e = nesting_to_expression(tree, nesting)
     assert str(e) == "(a:1 o1 (b:1 o1 (c:1 o1 d:1)))"
 
@@ -105,14 +107,12 @@ def test_nesting_to_expression_right_comb():
 def test_nesting_to_expression_rejects_non_maximal():
     tree = PlanarTree.linear(4)
     with pytest.raises(NotMaximalError):
-        nesting_to_expression(tree, frozenset({frozenset({0, 1})}))
+        nesting_to_expression(tree, frozenset({nest_mask({0, 1}, 4)}))
 
 
 def test_overlapping_nests_rejected():
     tree = PlanarTree.linear(4)
-    bad = frozenset(
-        {frozenset({1, 2}), frozenset({0, 1}), frozenset({0, 1, 2, 3})}
-    )
+    bad = frozenset(nest_mask(n, 4) for n in [{1, 2}, {0, 1}, {0, 1, 2, 3}])
     with pytest.raises(NotMaximalError):
         validate_maximal_nesting(tree, bad)
 
@@ -130,7 +130,7 @@ def test_round_trip_all_maximal_nestings_small_trees():
 
 def test_enumerate_nests_linear3():
     tree = PlanarTree.linear(3)
-    assert enumerate_nests(tree) == [
+    assert list(map(oracles.vertex_set, enumerate_nests(tree))) == [
         frozenset({0, 1}),
         frozenset({1, 2}),
         frozenset({0, 1, 2}),
@@ -139,7 +139,7 @@ def test_enumerate_nests_linear3():
 
 def test_enumerate_nests_corolla_excludes_disconnected():
     tree = PlanarTree.corolla(2)
-    assert enumerate_nests(tree) == [
+    assert list(map(oracles.vertex_set, enumerate_nests(tree))) == [
         frozenset({0, 1}),
         frozenset({0, 2}),
         frozenset({0, 1, 2}),
@@ -153,7 +153,9 @@ def test_enumerate_nests_point():
 def test_nests_match_brute_force():
     for p in range(1, 6):
         for tree in enumerate_ordered_trees(p):
-            assert set(enumerate_nests(tree)) == set(oracles.nests_brute(tree))
+            assert set(map(oracles.vertex_set, enumerate_nests(tree))) == set(
+                oracles.nests_brute(tree)
+            )
 
 
 def test_maximal_nesting_counts():
@@ -165,7 +167,10 @@ def test_maximal_nesting_counts():
 def test_maximal_nestings_match_brute_force():
     for p in range(1, 6):
         for tree in enumerate_ordered_trees(p):
-            ours = set(enumerate_maximal_nestings(tree))
+            ours = {
+                frozenset(map(oracles.vertex_set, m))
+                for m in enumerate_maximal_nestings(tree)
+            }
             brute = set(oracles.maximal_nestings_brute(tree))
             assert ours == brute
 
@@ -194,6 +199,21 @@ def test_compatibility_symmetric_and_full_always_fits():
         for a, b in itertools.combinations(nests, 2):
             assert nests_compatible(a, b) == nests_compatible(b, a)
             assert nests_compatible(a, full)
+
+
+def test_vertices_and_faces_sort_by_size_then_members_per_nest():
+    """The engine ranks each distinct nest once; the order is that of the
+    sorted (size, members) keys of a nesting's nests."""
+
+    def key(nesting):
+        return sorted((len(s), sorted(s)) for s in map(oracles.vertex_set, nesting))
+
+    for p in range(1, 7):
+        for tree in enumerate_ordered_trees(p):
+            vertices = enumerate_maximal_nestings(tree)
+            assert vertices == sorted(vertices, key=key)
+            faces = [f.nesting for f in build_skeleton(tree).faces]
+            assert faces == sorted(faces, key=key)
 
 
 def test_labels_do_not_change_combinatorics():
@@ -248,7 +268,8 @@ def test_unfolding_matches_the_recursive_oracle():
                 for nesting in enumerate_maximal_nestings(tree):
                     expr = nesting_to_expression(tree, nesting)
                     got, got_nesting = expression_to_nesting(expr)
-                    assert (got.children, got.leaf_slots, got.labels, got_nesting) == (
+                    got_sets = frozenset(map(oracles.vertex_set, got_nesting))
+                    assert (got.children, got.leaf_slots, got.labels, got_sets) == (
                         oracles.expression_to_nesting_recursive(expr)
                     )
                     assert (got.children, got.leaf_slots) == (tree.children, tree.leaf_slots)
@@ -259,15 +280,33 @@ def test_unfolding_matches_the_recursive_oracle():
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_deep_combs_unfold_iteratively(side):
-    # twice the interpreter's default recursion limit; a comb n deep has
-    # nests of total size about n^2 / 2, so n = 2000 keeps the test small
-    depth = 2000
+    # five times the interpreter's default recursion limit: parsing,
+    # printing, hashing, comparing and unfolding all run over explicit
+    # stacks.  A comb n deep has nests of total size about n^2 / 2 bits.
+    depth = 5000
     expr = Generator("g0", 2)
     for i in range(1, depth + 1):
         g = Generator(f"g{i}", 2)
         expr = Composition(expr, g, 1) if side == "left" else Composition(g, expr, 2)
-    tree, nesting = expression_to_nesting(expr)
+    text = str(expr)
+    again = parse_expression(text)
+    assert again == expr and again is not expr
+    assert hash(again) == hash(expr)
+    assert str(again) == text
+    assert again != parse_expression(text.replace("g0:2", "g0:3", 1))
+    tree, nesting = expression_to_nesting(again)
     assert tree.p == depth + 1
     assert len(nesting) == depth
-    assert sorted(map(len, nesting)) == list(range(2, depth + 2))
+    assert sorted(m.bit_count() for m in nesting) == list(range(2, depth + 2))
     assert sum(map(len, tree.children)) == depth
+
+
+def test_deep_fold_runs_over_a_stack():
+    """nesting_to_expression folds a nesting deeper than the recursion
+    limit back into the expression it came from."""
+    depth = 1200
+    expr = Generator("g0", 1)
+    for i in range(1, depth + 1):
+        expr = Composition(Generator(f"g{i}", 1), expr, 1)
+    tree, nesting = expression_to_nesting(expr)
+    assert nesting_to_expression(tree, nesting) == expr
