@@ -74,21 +74,33 @@ def _load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+# the flags that name what a command works on; it takes exactly one
+SOURCE_FLAGS = ("linear", "corolla_children", "tree", "expr", "maclane", "fixture",
+                "complex", "all_trees")
+
+
+def _source_from_args(args):
+    """The one input flag given, by its attribute name; raises ParseError
+    unless exactly one of the command's input flags is given."""
+    offered = [name for name in SOURCE_FLAGS if hasattr(args, name)]
+    given = [name for name in offered if getattr(args, name) is not None]
+    if len(given) != 1:
+        flags = ", ".join("--" + name.replace("_", "-") for name in offered)
+        raise ParseError(f"choose exactly one of {flags}")
+    return given[0]
+
+
 def _object_from_args(args):
     """(tree, None) from --linear, --corolla-children or --tree, or
     (None, expr) from --expr or --maclane, not yet unfolded."""
-    names = ("linear", "corolla_children", "tree", "expr", "maclane")
-    if sum(getattr(args, name, None) is not None for name in names) != 1:
-        raise ParseError(
-            "choose exactly one of --linear, --corolla-children, --tree, --expr, --maclane"
-        )
-    if args.linear is not None:
+    source = _source_from_args(args)
+    if source == "linear":
         return trees.PlanarTree.linear(args.linear), None
-    if args.corolla_children is not None:
+    if source == "corolla_children":
         return trees.PlanarTree.corolla(args.corolla_children), None
-    if args.tree is not None:
+    if source == "tree":
         return trees.PlanarTree.from_json(_load_json(args.tree)), None
-    if getattr(args, "expr", None) is not None:
+    if source == "expr":
         return None, trees.parse_expression(args.expr)
     return None, coherence.maclane_parse(args.maclane)
 
@@ -109,14 +121,19 @@ def _add_tree_flags(p, with_expr=False):
         p.add_argument("--maclane", metavar="WORD")
 
 
+def _fixture(name):
+    if name not in complexes.FIXTURES:
+        raise ParseError(f"unknown fixture {name!r}")
+    return complexes.FIXTURES[name]()
+
+
 def _complex_from_args(args):
     """(complex, points-or-None, description) from tree/fixture/complex flags."""
-    if getattr(args, "fixture", None):
-        if args.fixture not in complexes.FIXTURES:
-            raise ParseError(f"unknown fixture {args.fixture!r}")
-        c, points = complexes.FIXTURES[args.fixture]()
+    source = _source_from_args(args)
+    if source == "fixture":
+        c, points = _fixture(args.fixture)
         return c, points, {"fixture": args.fixture}
-    if getattr(args, "complex", None):
+    if source == "complex":
         c = complexes.Complex2.from_json(_load_json(args.complex))
         return c, None, {"complex": c.to_json()}
     tree, _ = _tree_from_args(args)
@@ -157,7 +174,9 @@ def cmd_gen(args):
 
 
 def _tree_jobs(args):
-    if getattr(args, "all_trees", None):
+    if _source_from_args(args) == "all_trees":
+        if args.all_trees < 1:
+            raise ParseError("--all-trees must be at least 1")
         out = []
         for p in range(1, args.all_trees + 1):
             out.extend(trees.enumerate_ordered_trees(p))
@@ -177,6 +196,8 @@ def _morse_one_tree(tree):
 
 
 def cmd_check_morse(args):
+    if args.samples < 0:
+        raise ParseError("--samples must be at least 0")
     batch = _tree_jobs(args)
     if batch is not None:
         jobs = min(args.jobs, os.cpu_count() or 1, len(batch))
@@ -194,10 +215,8 @@ def cmd_check_morse(args):
         )
         return EXIT_OK if ok else EXIT_REFUTED
 
-    if getattr(args, "fixture", None) and args.samples:
-        if args.fixture not in complexes.FIXTURES:
-            raise ParseError(f"unknown fixture {args.fixture!r}")
-        c, points = complexes.FIXTURES[args.fixture]()
+    if args.fixture is not None and args.samples:
+        c, points = _fixture(args.fixture)
         rng = random.Random(args.seed)
         outcomes = []
         for _ in range(args.samples):
@@ -236,20 +255,10 @@ def cmd_check_morse(args):
     else:
         payload["counterexample"] = {
             "condition": result.condition,
-            "witness": _jsonable(result.witness),
+            "witness": result.witness,
         }
     _report(args, payload, inputs)
     return EXIT_OK if ok else EXIT_REFUTED
-
-
-def _jsonable(obj):
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    return obj
 
 
 def cmd_check_homology(args):
@@ -396,10 +405,7 @@ def cmd_geom_orient(args):
 
 
 def cmd_normalize(args):
-    if args.expr:
-        expr = trees.parse_expression(args.expr)
-    else:
-        expr = coherence.maclane_parse(args.maclane)
+    _, expr = _object_from_args(args)
     sink, word = coherence.normal_form(expr)
     _report(
         args,

@@ -12,7 +12,8 @@ and sinks, outgoing links, Morse certificates with an independent checker,
 and integral homology through Smith normal form.
 
 Engine code reads face sources, sinks and outgoing links from one
-`CornerIndex` per complex and orientation.  `check_morse_certificate`
+`CornerIndex` per complex and orientation, which keeps each cell's source
+and sink corners and nothing else of its boundary.  `check_morse_certificate`
 deliberately does not: it rescans each cell boundary it checks with its own
 small helpers, so that the checker shares no code with the search it checks.
 """
@@ -190,74 +191,55 @@ class OutgoingLink(NamedTuple):
     links: tuple  # (edge, edge, cell) pairs joined on a co-face sourced here
 
 
-class Corner(NamedTuple):
-    vertex: int
-    arriving: int  # edge id of the step into the vertex
-    leaving: int  # edge id of the step out of the vertex
-    cell: int
-    arrives_up: bool  # the arriving step runs along the orientation
-    leaves_up: bool  # the leaving step runs along the orientation
-
-    @property
-    def is_source(self):
-        """Both edges point away from the vertex."""
-        return self.leaves_up and not self.arrives_up
-
-    @property
-    def is_sink(self):
-        """Both edges point towards the vertex."""
-        return self.arrives_up and not self.leaves_up
-
-
 class CornerIndex:
-    """Every corner of every 2-cell of a complex under one orientation.
+    """The source and sink corners of every 2-cell under one orientation.
 
-    A corner is a vertex of a boundary walk together with the steps that
-    arrive at it and leave it.  One pass over the cell boundaries buckets the
-    corners by vertex (`at_vertex`) and by cell (`of_cell`), both in cell
-    order and then walk order, so that a vertex's outgoing link, a cell's
-    sources and sinks, and the cell sourced at a pair of edges are lookups
-    proportional to a vertex or cell degree.  `out` lists the edges directed
-    away from each vertex, ascending.
+    A corner of a boundary walk is a source when both its edges point away
+    from its vertex and a sink when both point towards it.  One pass over
+    the cells keeps, per vertex, its source corners as (arriving edge,
+    leaving edge, cell) in cell order and then walk order (`sources_at`),
+    and per cell its sources and sinks in walk order (`of_cell`), so a
+    vertex's outgoing link, a cell's sources and sinks, and the cell
+    sourced at a pair of edges are lookups proportional to a vertex or cell
+    degree.  `out` lists the edges directed away from each vertex, ascending.
     """
 
-    __slots__ = ("out", "at_vertex", "of_cell")
+    __slots__ = ("out", "sources_at", "of_cell")
 
     def __init__(self, c, orientation):
         orientation = check_orientation(c, orientation)
         self.out = out_edges(c, orientation)
-        self.at_vertex = [[] for _ in range(c.vertex_count)]
+        self.sources_at = [[] for _ in range(c.vertex_count)]
         self.of_cell = []
         for ci, cell in enumerate(c.cells):
             ids = [abs(s) - 1 for s in cell]
             ups = [(s > 0) == (orientation[e] == 0) for s, e in zip(cell, ids)]
-            corners = tuple(
+            sources, sinks = [], []
+            for k, s in enumerate(cell):
+                if ups[k] == ups[k - 1]:
+                    continue
                 # a step's tail is endpoint A when it runs forward, else B
-                Corner(c.edges[e][s < 0], ids[k - 1], e, ci, ups[k - 1], ups[k])
-                for k, (s, e) in enumerate(zip(cell, ids))
-            )
-            for corner in corners:
-                self.at_vertex[corner.vertex].append(corner)
-            self.of_cell.append(corners)
+                v = c.edges[ids[k]][s < 0]
+                if ups[k]:
+                    sources.append(v)
+                    self.sources_at[v].append((ids[k - 1], ids[k], ci))
+                else:
+                    sinks.append(v)
+            self.of_cell.append((sources, sinks))
 
     def outgoing_link(self, x):
-        links = tuple(
-            (k.arriving, k.leaving, k.cell) for k in self.at_vertex[x] if k.is_source
-        )
-        return OutgoingLink(x, tuple(self.out[x]), links)
+        return OutgoingLink(x, tuple(self.out[x]), tuple(self.sources_at[x]))
 
     def sources_sinks(self, ci):
         """Local sources and sinks of cell ci, in walk order."""
-        sources = [k.vertex for k in self.of_cell[ci] if k.is_source]
-        sinks = [k.vertex for k in self.of_cell[ci] if k.is_sink]
-        return sources, sinks
+        return self.of_cell[ci]
 
     def cell_at(self, x, e1, e2):
         """The first cell, in cell order, whose source corner at x lies
         between edges e1 and e2; None when there is none."""
-        for k in self.at_vertex[x]:
-            if k.is_source and {k.arriving, k.leaving} == {e1, e2}:
-                return k.cell
+        for arriving, leaving, ci in self.sources_at[x]:
+            if (arriving, leaving) in ((e1, e2), (e2, e1)):
+                return ci
         return None
 
 

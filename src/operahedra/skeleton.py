@@ -9,10 +9,13 @@ the forward direction is the rewrite towards the unique normal form.
 
 Nests are vertex bitmasks and nestings frozensets of them, as in `trees`:
 vertices, the step table `out_step` (one row per vertex, keyed by the mask
-each step flips), `index` and face nestings are all spelled that way.  An
-edge's `removed` and `added` nests are frozensets of vertex ids, one shared
-frozenset per distinct nest, because words and their JSON name nests by
-ids; `cross` gives the skeleton's own walks the added mask.
+each step flips) and `index` are all spelled that way.  An edge's `removed`
+and `added` nests are frozensets of vertex ids, one shared frozenset per
+distinct nest, because words and their JSON name nests by ids; `cross`
+gives the skeleton's own walks the added mask.
+
+A 2-face is its boundary walk, the complex's own cell, and its shape; its
+nesting is the intersection of its boundary vertices' nestings.
 """
 
 from functools import lru_cache
@@ -41,9 +44,7 @@ class SkeletonEdge(NamedTuple):
 
 
 class TwoFace(NamedTuple):
-    nesting: frozenset  # p - 3 nest masks including the full nest
-    vertices: tuple  # boundary cycle as vertex indices
-    steps: tuple  # boundary walk as signed edge steps
+    steps: tuple  # boundary walk as signed edge steps; complex.cells[i] itself
     shape: str  # "square" | "pentagon" | "hexagon", by boundary length
 
 
@@ -180,12 +181,12 @@ class Skeleton:
                 row[nest] = step[(i, j)] if i < j else -step[(j, i)]
         self.out_step = out_step
 
-        self.faces = self._build_faces()
         self.complex = Complex2(
-            len(self.vertices),
-            [(e.a, e.b) for e in self.edges],
-            [f.steps for f in self.faces],
+            len(self.vertices), [(e.a, e.b) for e in self.edges], self._build_faces()
         )
+        self.faces = [
+            TwoFace(steps, SHAPE_BY_LENGTH[len(steps)]) for steps in self.complex.cells
+        ]
         self.orientation = tuple(0 if e.forward else 1 for e in self.edges)
         self._morse = None
         self._builder = None
@@ -193,46 +194,46 @@ class Skeleton:
     # -- construction ---------------------------------------------------------
 
     def _build_faces(self):
-        """Every 2-face, each once: a face nesting is a vertex's nesting less
-        two of its non-full nests, and its boundary walks from the vertex
-        across those two free nests alternately.  Each face is walked from
-        its least vertex only; its cycle starts there and runs towards the
-        smaller of the two neighbours."""
-        walks = {}
+        """Every 2-face's boundary walk, each once: a face nesting is a
+        vertex's nesting less two of its non-full nests, and its boundary
+        walks from the vertex across those two free nests alternately.  Each
+        face is walked from its least vertex only, towards the smaller of
+        the two neighbours.  Faces sort as `trees.sort_nestings` sorts their
+        nestings, by the vertex's nest ranks less the two free ones."""
+        rank = trees.nest_ranks(self.vertices)
+        found = []  # (sorted nest ranks of the face, boundary walk)
         for i, m in enumerate(self.vertices):
             across = [(self.cross(s)[0], nest) for nest, s in self.out_step[i].items()]
+            ranks = sorted(map(rank.__getitem__, m))
             for (j1, n1), (j2, n2) in combinations(across, 2):
                 if j1 < i or j2 < i:
                     continue
                 if j2 < j1:
                     n1, n2 = n2, n1
-                walk = self._walk_face(i, n1, n2)
-                if walk is not None:
-                    walks[m - {n1, n2}] = walk
-        faces = []
-        for nesting in trees.sort_nestings(walks):
-            cycle, steps = walks[nesting]
-            faces.append(TwoFace(nesting, cycle, steps, SHAPE_BY_LENGTH[len(cycle)]))
-        return faces
+                steps = self._walk_face(i, n1, n2)
+                if steps is not None:
+                    free = (rank[n1], rank[n2])
+                    found.append(([r for r in ranks if r not in free], steps))
+        found.sort(key=lambda face: face[0])
+        return [steps for _, steps in found]
 
     def _walk_face(self, start, n1, n2):
-        """The boundary cycle and steps from `start` crossing n1 first, then
-        the two free nests in turn; a boundary is at most a hexagon.  None
-        when the walk meets a vertex below `start`, which is not then the
-        face's least vertex."""
-        cycle, steps = [start], []
+        """The boundary steps from `start` crossing n1 first, then the two
+        free nests in turn; a boundary is at most a hexagon.  None when the
+        walk meets a vertex below `start`, which is not then the face's
+        least vertex."""
+        steps = []
         at, leave, other = start, n1, n2
         while True:
             s = self.out_step[at][leave]
             steps.append(s)
             at, added = self.cross(s)
             if at == start:
-                return tuple(cycle), tuple(steps)
+                return tuple(steps)
             if at < start:
                 return None
-            if len(cycle) == 6:
+            if len(steps) == 6:
                 raise ShapeError("2-face boundary does not close within six steps")
-            cycle.append(at)
             leave, other = other, added
 
     def cross(self, s):

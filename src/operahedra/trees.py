@@ -38,7 +38,7 @@ class PlanarTree:
     and must be at least 1 (non-unital setting).
     """
 
-    __slots__ = ("children", "leaf_slots", "labels", "parent", "depth", "_hash")
+    __slots__ = ("children", "leaf_slots", "labels", "parent", "_hash")
 
     def __init__(self, children, leaf_slots=None, labels=None):
         children = tuple(tuple(int(c) for c in cs) for cs in children)
@@ -82,15 +82,10 @@ class PlanarTree:
         if order != list(range(p)):
             raise ValueError("vertex ids must be 0..p-1 in pre-order with root 0")
 
-        depth = [0] * p
-        for v in range(1, p):
-            depth[v] = depth[parent[v]] + 1
-
         self.children = children
         self.leaf_slots = leaf_slots
         self.labels = labels
         self.parent = tuple(parent)
-        self.depth = tuple(depth)
         self._hash = hash((children, leaf_slots, labels))
 
     @property
@@ -394,12 +389,17 @@ def nest_key(nest):
     return (len(members), *members)
 
 
+def nest_ranks(nestings):
+    """Each distinct nest of ``nestings`` mapped to its rank by nest_key."""
+    nests = sorted(set().union(*nestings), key=nest_key)
+    return {n: r for r, n in enumerate(nests)}
+
+
 def sort_nestings(nestings):
     """``nestings`` sorted by the sorted tuple of their nests' keys.  Each
     distinct nest's key is computed once and replaced by its rank, which
     orders nestings alike."""
-    nests = sorted(set().union(*nestings), key=nest_key)
-    rank = {n: r for r, n in enumerate(nests)}.__getitem__
+    rank = nest_ranks(nestings).__getitem__
     return sorted(nestings, key=lambda m: sorted(map(rank, m)))
 
 

@@ -20,7 +20,8 @@ off its boundary length.
 
 Nests here are frozensets of vertex ids, where the engine spells them as
 bitmasks; `vertex_set` converts a mask the engine hands over with no engine
-code.
+code, and `face_cycle_nesting` reads a 2-face's vertex cycle and nesting off
+the skeleton's vertices and the face's boundary steps.
 """
 
 import functools
@@ -498,6 +499,15 @@ def _quotient_template(tree, parts):
     if not kids[id(right)]:
         raise ValueError("four pieces do not form a 4-vertex quotient tree")
     return "pentagon.3"
+
+
+def face_cycle_nesting(sk, face):
+    """(vertex cycle, nesting) of a skeleton 2-face, read off its data: the
+    cycle is the tail of each boundary step, and the face nesting is the
+    nests its boundary vertices share.  The nesting holds the engine's
+    masks."""
+    cycle = tuple(_tail(sk.complex, s) for s in face.steps)
+    return cycle, frozenset.intersection(*(sk.vertices[v] for v in cycle))
 
 
 def face_shape(tree, face_nesting):

@@ -48,7 +48,7 @@ def test_criterion_1_face_census():
     for tree in trees:
         sk = build_skeleton(tree)
         for f in sk.faces:
-            assert len(f.vertices) in (4, 5, 6)
+            assert len(f.steps) in (4, 5, 6)
             faces += 1
     verdict(
         1,
@@ -59,7 +59,8 @@ def test_criterion_1_face_census():
 
 
 def test_criterion_2_known_skeletons():
-    golden = json.load(open(GOLDEN_PATH))
+    with open(GOLDEN_PATH) as fh:
+        golden = json.load(fh)
     named = {
         "linear4": PlanarTree.linear(4),
         "linear5": PlanarTree.linear(5),

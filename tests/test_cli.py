@@ -177,6 +177,128 @@ def test_zero_sized_tree_reports_the_real_error():
     assert "error: need at least one child" in r.stderr
 
 
+FIVE_CYCLE = {
+    "schema": "v1",
+    "vertices": 5,
+    "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]],
+    "cells": [],
+}
+
+# Counterexample reports as the CLI printed them: the witnesses hold
+# tuples of edge ids and dicts of vertex lists.
+CYCLE_LINK_REPORT = """{
+  "certified": false,
+  "command": "check.morse",
+  "counterexample": {
+    "condition": "disconnected_link",
+    "witness": {
+      "components": [
+        [
+          0
+        ],
+        [
+          4
+        ]
+      ],
+      "vertex": 0
+    }
+  },
+  "inputs": {
+    "complex": "4ebff1e78cb39772"
+  },
+  "schema": "v1"
+}
+"""
+
+PENTAGON_FACE_REPORT = """{
+  "certified": false,
+  "command": "check.morse",
+  "counterexample": {
+    "condition": "face_not_two_arcs",
+    "witness": {
+      "cell": 0,
+      "sinks": [
+        0,
+        2
+      ],
+      "sources": [
+        4,
+        3
+      ]
+    }
+  },
+  "inputs": {
+    "tree": "e7e612dda7b42de0"
+  },
+  "schema": "v1"
+}
+"""
+
+
+def test_counterexample_reports_are_pinned(capsys, tmp_path):
+    from operahedra import cli
+
+    complex_path, orientation_path = tmp_path / "c.json", tmp_path / "o.json"
+    complex_path.write_text(json.dumps(FIVE_CYCLE))
+    orientation_path.write_text(json.dumps([0, 0, 0, 0, 0]))
+    code = cli.main(["check", "morse", "--complex", str(complex_path),
+                     "--orientation", str(orientation_path)])
+    assert (code, capsys.readouterr().out) == (1, CYCLE_LINK_REPORT)
+
+    orientation_path.write_text(json.dumps(
+        [1, 1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 1, 0]
+    ))
+    code = cli.main(["check", "morse", "--linear", "5",
+                     "--orientation", str(orientation_path)])
+    assert (code, capsys.readouterr().out) == (1, PENTAGON_FACE_REPORT)
+
+
+@pytest.mark.parametrize("argv", [[], ["--expr", "k:1", "--maclane", "ab"]])
+def test_normalize_needs_exactly_one_object(argv):
+    r = run("normalize", *argv)
+    assert r.returncode == 2
+    assert "error: choose exactly one of --expr, --maclane" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "homology", "--linear", "3", "--fixture", "outgoingpoly"],
+        ["check", "homology"],
+        ["check", "morse", "--complex", "c.json", "--fixture", "outgoingpoly"],
+        ["check", "morse", "--all-trees", "3", "--linear", "3"],
+        ["check", "confluence", "--all-trees", "3", "--corolla-children", "3"],
+        ["gen", "--fixture", "outgoingpoly", "--expr", "k:1"],
+    ],
+)
+def test_one_input_source_per_command(argv):
+    r = run(*argv)
+    assert r.returncode == 2
+    assert "error: choose exactly one of --linear, " in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_unknown_fixture_exits_2():
+    for argv in (["gen"], ["check", "morse", "--samples", "2"]):
+        r = run(*argv, "--fixture", "nosuch")
+        assert r.returncode == 2
+        assert "error: unknown fixture 'nosuch'" in r.stderr
+
+
+def test_negative_samples_exit_2():
+    r = run("check", "morse", "--fixture", "outgoingpoly", "--samples", "-1")
+    assert r.returncode == 2
+    assert "error: --samples must be at least 0" in r.stderr
+
+
+@pytest.mark.parametrize("command", [["check", "morse"], ["check", "confluence"]])
+def test_zero_all_trees_exits_2(command):
+    r = run(*command, "--all-trees", "0")
+    assert r.returncode == 2
+    assert "error: --all-trees must be at least 1" in r.stderr
+
+
 PENTAGON_EXPR = "(((k:1 o1 t:1) o1 m:1) o1 n:1)"
 
 

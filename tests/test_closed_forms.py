@@ -56,7 +56,7 @@ def test_every_tree_with_p7_matches_construct_recurrence():
         v, e, f = sk.f_vector()
         assert (v, e, f) == oracles.construct_f_vector(tree)
         assert 2 * e == v * (p - 2)
-        assert sum(len(face.vertices) for face in sk.faces) == v * math.comb(p - 2, 2)
+        assert sum(len(face.steps) for face in sk.faces) == v * math.comb(p - 2, 2)
 
 
 def random_tree(p, rng):
@@ -92,7 +92,7 @@ def test_seeded_random_trees_p8_to_10_match_construct_recurrence():
             sk = Skeleton(tree)
             assert sk.f_vector() == (v, e, f)
             assert 2 * e == v * (p - 2)
-            assert sum(len(face.vertices) for face in sk.faces) == v * math.comb(p - 2, 2)
+            assert sum(len(face.steps) for face in sk.faces) == v * math.comb(p - 2, 2)
             checked[p] += 1
     assert checked[8] >= 4 and checked[9] >= 1 and checked[10] == 0
 

@@ -158,9 +158,9 @@ def test_frozen_digests(name):
     assert sha256(list(cert)) == morse_digest
     # The template column comes from the piece-based oracle, which was the
     # engine's classifier when these digests were taken.
-    faces = [
-        [nesting_to_json(f.nesting), list(f.vertices),
-         list(f.steps), f.shape, oracles.face_shape(tree, f.nesting)[1]]
-        for f in sk.faces
-    ]
+    faces = []
+    for f in sk.faces:
+        cycle, nesting = oracles.face_cycle_nesting(sk, f)
+        faces.append([nesting_to_json(nesting), list(cycle),
+                      list(f.steps), f.shape, oracles.face_shape(tree, nesting)[1]])
     assert sha256(faces) == faces_digest

@@ -9,6 +9,7 @@ from operahedra.errors import MalformedEdgeError
 from operahedra.skeleton import (
     BETA,
     THETA,
+    TwoFace,
     build_skeleton,
     classify_edge,
     classify_flip,
@@ -16,7 +17,8 @@ from operahedra.skeleton import (
 )
 from operahedra.trees import PlanarTree, enumerate_ordered_trees, nest_mask
 
-GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__), "golden", "skeletons.json")))
+with open(os.path.join(os.path.dirname(__file__), "golden", "skeletons.json")) as fh:
+    GOLDEN = json.load(fh)
 
 NAMED = {
     "linear4": PlanarTree.linear(4),
@@ -107,15 +109,28 @@ def test_face_boundaries_are_4_5_or_6_everywhere():
         for tree in enumerate_ordered_trees(p):
             sk = build_skeleton(tree)
             for f in sk.faces:
-                assert len(f.vertices) in (4, 5, 6)
-                assert len(f.vertices) == {"square": 4, "pentagon": 5, "hexagon": 6}[
-                    f.shape
-                ]
+                assert len(f.steps) in (4, 5, 6)
+                assert len(f.steps) == {"square": 4, "pentagon": 5, "hexagon": 6}[f.shape]
+
+
+def test_faces_are_the_complex_cells():
+    """A face holds its boundary walk as the complex's own cell, and its
+    shape; its nesting and vertex cycle are read off the skeleton."""
+    assert TwoFace._fields == ("steps", "shape")
+    for tree in [PlanarTree.linear(5), PlanarTree.corolla(4), PlanarTree.linear(6)]:
+        sk = build_skeleton(tree)
+        assert len(sk.faces) == len(sk.complex.cells)
+        for i, f in enumerate(sk.faces):
+            assert f.steps is sk.complex.cells[i]
+            cycle, nesting = oracles.face_cycle_nesting(sk, f)
+            assert cycle == sk.complex.cell_vertices(f.steps)
+            assert len(nesting) == tree.p - 3
 
 
 def first_template(tree):
     """The oracle's template for the first face of ``tree``'s skeleton."""
-    return oracles.face_shape(tree, build_skeleton(tree).faces[0].nesting)[1]
+    sk = build_skeleton(tree)
+    return oracles.face_shape(tree, oracles.face_cycle_nesting(sk, sk.faces[0])[1])[1]
 
 
 def test_face_templates():
@@ -132,9 +147,10 @@ def test_face_templates():
 
 
 def square_templates(tree):
+    sk = build_skeleton(tree)
     return {
-        oracles.face_shape(tree, f.nesting)[1]
-        for f in build_skeleton(tree).faces if f.shape == "square"
+        oracles.face_shape(tree, oracles.face_cycle_nesting(sk, f)[1])[1]
+        for f in sk.faces if f.shape == "square"
     }
 
 
@@ -161,8 +177,9 @@ def test_boundary_length_shape_matches_piece_classifier():
     small = [t for p in range(1, 7) for t in enumerate_ordered_trees(p)]
     checked = 0
     for tree in small + SHAPE_ORACLE_TREES:
-        for f in build_skeleton(tree).faces:
-            assert f.shape == oracles.face_shape(tree, f.nesting)[0]
+        sk = build_skeleton(tree)
+        for f in sk.faces:
+            assert f.shape == oracles.face_shape(tree, oracles.face_cycle_nesting(sk, f)[1])[0]
             checked += 1
     assert checked > 6000
 
@@ -261,7 +278,8 @@ def test_pieces_sweep_matches_pairwise_definition():
     for p in range(1, 7):
         for tree in enumerate_ordered_trees(p):
             sk = build_skeleton(tree)
-            for nesting in list(sk.vertices) + [f.nesting for f in sk.faces]:
+            faces = [oracles.face_cycle_nesting(sk, f)[1] for f in sk.faces]
+            for nesting in list(sk.vertices) + faces:
                 sets = frozenset(map(oracles.vertex_set, nesting))
                 for nest in nesting:
                     got = list(map(oracles.vertex_set, trees.pieces(nesting, nest)))

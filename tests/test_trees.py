@@ -212,7 +212,8 @@ def test_vertices_and_faces_sort_by_size_then_members_per_nest():
         for tree in enumerate_ordered_trees(p):
             vertices = enumerate_maximal_nestings(tree)
             assert vertices == sorted(vertices, key=key)
-            faces = [f.nesting for f in build_skeleton(tree).faces]
+            sk = build_skeleton(tree)
+            faces = [oracles.face_cycle_nesting(sk, f)[1] for f in sk.faces]
             assert faces == sorted(faces, key=key)
 
 
