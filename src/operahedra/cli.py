@@ -196,8 +196,16 @@ def _morse_one_tree(tree):
 
 
 def cmd_check_morse(args):
-    if args.samples < 0:
-        raise ParseError("--samples must be at least 0")
+    source = _source_from_args(args)
+    if args.samples is not None:
+        if args.samples < 0:
+            raise ParseError("--samples must be at least 0")
+        if source != "fixture":
+            raise ParseError("--samples applies only with --fixture")
+        if args.samples and args.orientation is not None:
+            raise ParseError("--orientation does not apply with --samples")
+    if source == "all_trees" and args.orientation is not None:
+        raise ParseError("--orientation does not apply with --all-trees")
     batch = _tree_jobs(args)
     if batch is not None:
         jobs = min(args.jobs, os.cpu_count() or 1, len(batch))
@@ -281,6 +289,8 @@ def cmd_check_homology(args):
 
 
 def cmd_check_confluence(args):
+    if args.strategies < 0:
+        raise ParseError("--strategies must be at least 0")
     batch = _tree_jobs(args)
     targets = batch if batch is not None else [_tree_from_args(args)[0]]
     rng = random.Random(args.seed)
@@ -441,7 +451,7 @@ def build_parser():
     morse.add_argument("--fixture", metavar="NAME")
     morse.add_argument("--complex", metavar="FILE")
     morse.add_argument("--orientation", metavar="FILE")
-    morse.add_argument("--samples", type=int, default=0)
+    morse.add_argument("--samples", type=int)
     morse.add_argument("--seed", type=int, default=0)
     morse.add_argument("--all-trees", type=int, metavar="P")
     morse.add_argument("--jobs", type=int, default=1)

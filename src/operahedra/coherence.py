@@ -23,7 +23,6 @@ from .homotopy import (
     BacktrackInsert,
     FaceSubstitute,
     Path,
-    validate_path,
     verify_certificate,
 )
 from .skeleton import FULL_NEST_FLIP, build_skeleton
@@ -120,6 +119,11 @@ def word_to_path(word):
     return walk
 
 
+def _path_end(c, path):
+    """The end vertex of a walk, which chains by construction."""
+    return c.step_ends(path.steps[-1])[1] if path.steps else path.start
+
+
 def moves_from_steps(sk, steps):
     """Rebuild word moves from a skeleton walk; inverse of word_to_path."""
     moves = []
@@ -145,31 +149,30 @@ def decide_coherence(w1, w2):
         raise NotParallelError("words have different domain objects")
     sk, p1 = word_to_path(w1)
     _, p2 = word_to_path(w2)
-    if validate_path(sk.complex, p1) != validate_path(sk.complex, p2):
+    if _path_end(sk.complex, p1) != _path_end(sk.complex, p2):
         raise NotParallelError("words have different codomain objects")
     builder = sk.homotopy_builder()
     cert = builder.general(p1, p2)
     check = verify_certificate(sk.complex, cert)
     if not check.ok:
         raise CertificateRejectedError(f"generated certificate rejected: {check}")
+    counts = {BacktrackInsert: 0, BacktrackDelete: 0, FaceSubstitute: 0}
+    usage = {}
+    for m in cert.moves:
+        kind = type(m)
+        counts[kind] += 1
+        if kind is FaceSubstitute:
+            shape = sk.faces[m.cell].shape
+            usage[shape] = usage.get(shape, 0) + 1
     stats = {
         "moves": len(cert.moves),
-        "backtrack_inserts": sum(isinstance(m, BacktrackInsert) for m in cert.moves),
-        "backtrack_deletes": sum(isinstance(m, BacktrackDelete) for m in cert.moves),
-        "face_substitutions": sum(isinstance(m, FaceSubstitute) for m in cert.moves),
-        "faces_by_shape": _face_usage(sk, cert.moves),
+        "backtrack_inserts": counts[BacktrackInsert],
+        "backtrack_deletes": counts[BacktrackDelete],
+        "face_substitutions": counts[FaceSubstitute],
+        "faces_by_shape": dict(sorted(usage.items())),
         "word_lengths": [len(w1.moves), len(w2.moves)],
     }
     return CoherenceVerdict(True, cert, stats)
-
-
-def _face_usage(sk, moves):
-    usage = {}
-    for m in moves:
-        if isinstance(m, FaceSubstitute):
-            shape = sk.faces[m.cell].shape
-            usage[shape] = usage.get(shape, 0) + 1
-    return dict(sorted(usage.items()))
 
 
 def normal_form(expr):
@@ -234,63 +237,51 @@ def maclane_parse(word):
 
     Letters out of planar order signal the symmetric setting and are
     rejected.  ``(ab)`` becomes a o1 b; ``((ab)c)d`` the left comb on four.
+    Open parentheses wait on an explicit stack, so any depth parses.
     """
     text = word.strip()
+    n = len(text)
     pos = 0
 
     def fail(msg):
         raise ParseError(f"column {pos}: {msg}")
 
-    def item():
-        nonlocal pos
-        if pos >= len(text):
+    letters = []
+    # the factors read so far: the top level's, then one list per open "("
+    open_factors = [[]]
+    while True:
+        if pos >= n:
             fail("unexpected end of word")
         ch = text[pos]
         if ch == "(":
             pos += 1
-            first = item()
-            second = item()
-            if pos >= len(text) or text[pos] != ")":
-                fail("expected ')'")
-            pos += 1
-            return (first, second)
+            open_factors.append([])
+            continue
         if not ch.isalpha():
             fail(f"expected a letter or '(', found {ch!r}")
         pos += 1
-        return ch
+        letters.append(ch)
+        factors = open_factors[-1]
+        factors.append(trees.Generator(ch, 1))
+        while len(open_factors) > 1 and len(factors) == 2:
+            if pos >= n or text[pos] != ")":
+                fail("expected ')'")
+            pos += 1
+            open_factors.pop()
+            open_factors[-1].append(trees.Composition(*factors, 1))
+            factors = open_factors[-1]
+        if len(open_factors) == 1 and (len(factors) == 2 or pos == n):
+            break
+    if pos != n:
+        fail("a product must pair exactly two fully parenthesised factors")
 
-    first = item()
-    if pos < len(text):
-        second = item()
-        if pos != len(text):
-            fail("a product must pair exactly two fully parenthesised factors")
-        tree = (first, second)
-    else:
-        tree = first
-
-    letters = []
-
-    def collect(t):
-        if isinstance(t, tuple):
-            collect(t[0])
-            collect(t[1])
-        else:
-            letters.append(t)
-
-    collect(tree)
     if len(set(letters)) != len(letters):
         raise ParseError("letters must be distinct")
     if letters != sorted(letters):
         raise ParseError(
             "letters out of planar order: the symmetric case is not supported"
         )
-
-    def to_expr(t):
-        if isinstance(t, tuple):
-            return trees.Composition(to_expr(t[0]), to_expr(t[1]), 1)
-        return trees.Generator(t, 1)
-
-    return to_expr(tree)
+    return factors[0] if len(factors) == 1 else trees.Composition(*factors, 1)
 
 
 _SUGAR_RE = re.compile(r"^(-?)(beta|theta)@([0-9]+(?:\.[0-9]+)*)$")

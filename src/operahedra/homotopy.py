@@ -5,8 +5,11 @@ parallel paths are related by a certificate: a sequence of elementary moves,
 each inserting a backtrack, deleting one, or substituting a subword across a
 2-cell boundary.  Certificates are generated by descending both paths to a
 canonical form through the oriented 1-skeleton (the unique-sink induction).
-The generator writes each move's inverse as it makes it, and reads each
-face move's rotation off the face's two arcs, so it never replays a word.
+The push of one step down to the sink depends on that step alone, so the
+generator computes it once per signed step and emits it, shifted, wherever
+the step occurs; it writes each move's inverse from the same moves, and
+reads each face move's rotation off the face's two arcs, so it never
+replays a word.
 The verifier is the only code that replays a certificate; it re-checks
 every move and shares nothing with the generator beyond these data types.
 """
@@ -179,9 +182,7 @@ def reduce_path(c, path):
 
 
 def _shift(moves, delta):
-    if delta == 0:
-        return list(moves)
-    return [m._replace(position=m.position + delta) for m in moves]
+    return [type(m)(m.position + delta, *m[1:]) for m in moves]
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +192,9 @@ def _shift(moves, delta):
 class HomotopyBuilder:
     """Certificate generator for one oriented complex with Morse data.
 
-    Caches canonical descents, longest-path lengths, and the sub-certificates
-    of the unique-sink induction, so that batches of queries on the same
+    Caches, each filled on first use: canonical descents, face arcs, the
+    sub-certificates of the unique-sink induction, and per signed step the
+    homotopy that absorbs it, so that batches of queries on the same
     skeleton amortise their work.
     """
 
@@ -209,6 +211,7 @@ class HomotopyBuilder:
         self._descent = {}
         self._arcs = {}
         self._memo = {}
+        self._absorbed = {}
 
     # -- canonical structure ------------------------------------------------
 
@@ -262,13 +265,16 @@ class HomotopyBuilder:
         global sink.  Induction on the first steps: shared first edge
         recurses on the tails; co-facial first edges substitute across their
         face after aligning both tails on the canonical descent; otherwise a
-        walk through the outgoing link chains the co-facial case."""
+        walk through the outgoing link chains the co-facial case.
+
+        The moves are all face moves.  They come back as the memoised
+        tuple, shared by every caller."""
         if g1 == g2:
-            return []
+            return ()
         key = (x, g1, g2)
         hit = self._memo.get(key)
         if hit is not None:
-            return list(hit)
+            return hit
         s1, s2 = g1[0], g2[0]
         if s1 == s2:
             nxt = self.c.step_ends(s1)[1]
@@ -280,8 +286,8 @@ class HomotopyBuilder:
                 moves = self._across_face(x, ci, g1, g2)
             else:
                 moves = self._across_link(x, g1, g2)
-        self._memo[key] = tuple(moves)
-        return moves
+        hit = self._memo[key] = tuple(moves)
+        return hit
 
     def _across_face(self, x, ci, g1, g2):
         arcs = self.face_arcs(ci)
@@ -290,7 +296,7 @@ class HomotopyBuilder:
         tail = self.descent(self.cert.face_source_sink[ci][1])
         d1 = arc1 + tail
         d2 = arc2 + tail
-        moves = self.oriented_to_sink(x, g1, d1)
+        moves = list(self.oriented_to_sink(x, g1, d1))
         # arc1 . arc2^-1 is the boundary read from arc1's first step: forward
         # when that step is on the boundary, else along its reversed inverse
         cell = self.c.cells[ci]
@@ -369,29 +375,49 @@ class HomotopyBuilder:
                 moves.append(BacktrackDelete(len(p2.steps) + idx))
         return Certificate(p1, p2, tuple(moves))
 
+    def _absorb(self, s):
+        """(moves, shift) for signed step s: the oriented homotopy that
+        absorbs s into the descents of its two ends, with shift 0 when s
+        ascends and 1 when it descends.  At position i of a word the moves
+        apply shifted by i + shift, and a descending step's backtrack is
+        then deleted at i.  Depends on s alone, so it is computed once."""
+        hit = self._absorbed.get(s)
+        if hit is None:
+            tail, head = self.c.step_ends(s)
+            if step_ascends(self.c, self.o, s):
+                moves = self.oriented_to_sink(
+                    tail, (s,) + self.descent(head), self.descent(tail)
+                )
+                hit = (moves, 0)
+            else:
+                moves = self.oriented_to_sink(
+                    head, self.descent(head), (-s,) + self.descent(tail)
+                )
+                hit = (moves, 1)
+            self._absorbed[s] = hit
+        return hit
+
     def to_canonical(self, path):
         """Moves rewriting `path` into descent(start) . descent(end)^-1.
 
         Walks the word right to left; each step is absorbed into the descent
-        of its tail vertex, ascending steps by an oriented homotopy and
-        descending ones by one homotopy plus a backtrack deletion.
+        of its tail vertex by its cached `_absorb` homotopy, plus a
+        backtrack deletion for a descending step.
         """
-        verts = [path.start]
+        end = path.start
         for s in path.steps:
-            verts.append(self.c.step_ends(s)[1])
-        y = verts[-1]
-        dy = self.descent(y)
-        moves = [
-            BacktrackInsert(len(path.steps) + idx, t) for idx, t in enumerate(dy)
-        ]
-        for i in reversed(range(len(path.steps))):
-            s = path.steps[i]
-            zi, zj = verts[i], verts[i + 1]
-            di, dj = self.descent(zi), self.descent(zj)
-            if step_ascends(self.c, self.o, s):
-                moves += _shift(self.oriented_to_sink(zi, (s,) + dj, di), i)
-            else:
-                moves += _shift(self.oriented_to_sink(zj, dj, (-s,) + di), i + 1)
+            end = self.c.step_ends(s)[1]
+        return self._canonical(path.steps, end)
+
+    def _canonical(self, steps, end):
+        n = len(steps)
+        moves = [BacktrackInsert(n + idx, t) for idx, t in enumerate(self.descent(end))]
+        for i in reversed(range(n)):
+            chunk, shift = self._absorb(steps[i])
+            if chunk:
+                d = i + shift
+                moves += [type(m)(m.position + d, *m[1:]) for m in chunk]
+            if shift:
                 moves.append(BacktrackDelete(i))
         return moves
 
@@ -399,23 +425,28 @@ class HomotopyBuilder:
         """Certificate between parallel paths with arbitrary step signs:
         p1's moves to the canonical form, then p2's undone in reverse.
 
-        Each of p2's moves is undone without replaying the word.  A delete
-        at i removes the backtrack on p2's own step i, since `to_canonical`
-        never touches the prefix left of the step it absorbs; a face move
-        is undone by the rest of the same boundary, read the other way.
+        p2's undo is read off the same `_absorb` homotopies, step by step
+        left to right, without building p2's list or replaying the word:
+        a descending step's deleted backtrack is inserted back, each face
+        move of its homotopy is undone, last first, by the rest of the
+        same boundary read the other way, and the descent of the end is
+        deleted last.
         """
-        self._common_end(p1, p2)
-        moves = self.to_canonical(p1)
-        for m in reversed(self.to_canonical(p2)):
-            if isinstance(m, BacktrackInsert):
-                moves.append(BacktrackDelete(m.position))
-            elif isinstance(m, BacktrackDelete):
-                moves.append(BacktrackInsert(m.position, p2.steps[m.position]))
-            else:
-                n = len(self.c.cells[m.cell])
-                moves.append(FaceSubstitute(
-                    m.position, m.cell, n - m.matched, (n - m.offset) % n, not m.reverse
-                ))
+        end = self._common_end(p1, p2)
+        moves = self._canonical(p1.steps, end)
+        cells = self.c.cells
+        for i, s in enumerate(p2.steps):
+            chunk, shift = self._absorb(s)
+            if shift:
+                moves.append(BacktrackInsert(i, s))
+            d = i + shift
+            for pos, ci, k, offset, reverse in reversed(chunk):
+                n = len(cells[ci])
+                moves.append(
+                    FaceSubstitute(pos + d, ci, n - k, (n - offset) % n, not reverse)
+                )
+        n2 = len(p2.steps)
+        moves += [BacktrackDelete(n2 + idx) for idx in reversed(range(len(self.descent(end))))]
         return Certificate(p1, p2, tuple(moves))
 
 

@@ -82,11 +82,23 @@ class PlanarTree:
         if order != list(range(p)):
             raise ValueError("vertex ids must be 0..p-1 in pre-order with root 0")
 
+        self._set(children, leaf_slots, labels, tuple(parent))
+
+    def _set(self, children, leaf_slots, labels, parent):
         self.children = children
         self.leaf_slots = leaf_slots
         self.labels = labels
-        self.parent = tuple(parent)
+        self.parent = parent
         self._hash = hash((children, leaf_slots, labels))
+
+    @classmethod
+    def _trusted(cls, children, leaf_slots, labels, parent):
+        """A tree from fields already in normal form (tuples of ints, ids in
+        pre-order, parent[0] None), for builders valid by construction;
+        nothing is re-checked."""
+        tree = cls.__new__(cls)
+        tree._set(children, leaf_slots, labels, parent)
+        return tree
 
     @property
     def p(self):
@@ -454,9 +466,10 @@ class Expression:
 
     Equality, hashing and text walk the tree with an explicit stack or are
     cached at construction, so expressions of any depth compare, hash and
-    print."""
+    print.  ``_unfolded`` keeps the (tree, nesting) of the first
+    ``expression_to_nesting`` call; both are immutable."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_unfolded")
 
     def __hash__(self):
         return self._hash
@@ -503,6 +516,7 @@ class Generator(Expression):
         self.name = name
         self.arity = arity
         self._hash = hash(("gen", name, arity))
+        self._unfolded = None
 
     def __repr__(self):
         return f"Generator({self.name!r}, {self.arity})"
@@ -523,6 +537,7 @@ class Composition(Expression):
         self.slot = slot
         self.arity = left.arity + right.arity - 1
         self._hash = hash(("comp", left._hash, right._hash, slot))
+        self._unfolded = None
 
     def __repr__(self):
         return f"Composition({self.left!r}, {self.right!r}, {self.slot})"
@@ -609,8 +624,12 @@ def expression_to_nesting(expr):
     root, its first occurrence and its open inputs, as runs (occurrence,
     first input, end input) in planar order.  A composition finds its slot
     by scanning runs from the nearer end and splices the right runs in
-    place of that one input; no subtree is walked again.
+    place of that one input; no subtree is walked again.  The tree is valid
+    by construction, so it is built without the constructor's checks, and
+    the result is kept on ``expr`` for later calls.
     """
+    if expr._unfolded is not None:
+        return expr._unfolded
     labels, arities = [], []
     grafts = []  # (occurrence, input, occurrence grafted there)
     ranges = []  # (first, end) occurrences of each composition
@@ -651,6 +670,9 @@ def expression_to_nesting(expr):
     idmap = [0] * len(order)
     for v, g in enumerate(order):
         idmap[g] = v
+    parent = [None] * len(order)
+    for g, _, child in grafts:
+        parent[idmap[child]] = idmap[g]
 
     children, leaf_slots = [], []
     for g in order:
@@ -659,16 +681,19 @@ def expression_to_nesting(expr):
             slots.append(i - prev)
             prev = i + 1
         slots.append(arities[g] - prev)
-        children.append([idmap[child] for _, child in kids[g]])
-        leaf_slots.append(slots)
-    tree = PlanarTree(children, leaf_slots, [labels[g] for g in order])
+        children.append(tuple(idmap[child] for _, child in kids[g]))
+        leaf_slots.append(tuple(slots))
+    tree = PlanarTree._trusted(
+        tuple(children), tuple(leaf_slots), tuple(labels[g] for g in order), tuple(parent)
+    )
     # each vertex is one occurrence, so a range of occurrences is the XOR of
     # two prefixes of their bits
     prefix = [0]
     for v in idmap:
         prefix.append(prefix[-1] ^ (1 << v))
     nesting = frozenset(prefix[end] ^ prefix[first] for first, end in ranges)
-    return tree, nesting
+    expr._unfolded = (tree, nesting)
+    return expr._unfolded
 
 
 def _locate_input(runs, slot, arity):

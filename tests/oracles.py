@@ -14,9 +14,10 @@ certificate replay and the face-rotation search are the generator's
 original ones, the references for its local move inversion and for its
 reading of face moves off the arcs; they share only the move types.  The
 recursive expression unfolding is the engine's original one, the
-reference for its one-pass iterative unfolding, and the piece-based face
-classifier is its original one, the reference for reading a face's shape
-off its boundary length.
+reference for its one-pass iterative unfolding, the recursive MacLane
+word parser is the engine's original one, the reference for its
+stack-based parser, and the piece-based face classifier is its original
+one, the reference for reading a face's shape off its boundary length.
 
 Nests here are frozensets of vertex ids, where the engine spells them as
 bitmasks; `vertex_set` converts a mask the engine hands over with no engine
@@ -733,3 +734,60 @@ def expression_to_nesting_recursive(expr):
     labels = tuple(nodes[nid][0] for nid in order)
     nesting = frozenset(frozenset(idmap[v] for v in occ) for occ in nests_occ)
     return children, leaf_slots, labels, nesting
+
+
+# ---------------------------------------------------------------------------
+# MacLane words by recursive descent
+
+
+def maclane_parse_recursive(word):
+    """The expression text of a fully parenthesised MacLane word, parsed by
+    recursive descent, or ``ValueError`` with the message the engine's
+    ParseError carries."""
+    text = word.strip()
+    pos = 0
+
+    def fail(msg):
+        raise ValueError(f"column {pos}: {msg}")
+
+    def item():
+        nonlocal pos
+        if pos >= len(text):
+            fail("unexpected end of word")
+        ch = text[pos]
+        if ch == "(":
+            pos += 1
+            first = item()
+            second = item()
+            if pos >= len(text) or text[pos] != ")":
+                fail("expected ')'")
+            pos += 1
+            return (first, second)
+        if not ch.isalpha():
+            fail(f"expected a letter or '(', found {ch!r}")
+        pos += 1
+        return ch
+
+    first = item()
+    if pos < len(text):
+        second = item()
+        if pos != len(text):
+            fail("a product must pair exactly two fully parenthesised factors")
+        tree = (first, second)
+    else:
+        tree = first
+
+    def letters(t):
+        return letters(t[0]) + letters(t[1]) if isinstance(t, tuple) else [t]
+
+    def show(t):
+        if isinstance(t, tuple):
+            return f"({show(t[0])} o1 {show(t[1])})"
+        return f"{t}:1"
+
+    found = letters(tree)
+    if len(set(found)) != len(found):
+        raise ValueError("letters must be distinct")
+    if found != sorted(found):
+        raise ValueError("letters out of planar order: the symmetric case is not supported")
+    return show(tree)

@@ -292,6 +292,35 @@ def test_negative_samples_exit_2():
     assert "error: --samples must be at least 0" in r.stderr
 
 
+def test_negative_strategies_exit_2():
+    r = run("check", "confluence", "--linear", "4", "--strategies", "-1")
+    assert r.returncode == 2
+    assert "error: --strategies must be at least 0" in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--linear", "3", "--samples", "5"], "--samples applies only with --fixture"),
+        (["--all-trees", "3", "--orientation", "/nonexistent"],
+         "--orientation does not apply with --all-trees"),
+    ],
+)
+def test_check_morse_refuses_flags_that_do_not_apply(argv, message):
+    r = run("check", "morse", *argv)
+    assert r.returncode == 2
+    assert f"error: {message}" in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
+
+
+def test_deep_maclane_word_is_a_parse_error():
+    r = run("normalize", "--maclane", "(" * 1200 + "a")
+    assert r.returncode == 2
+    assert "error: column 1201: unexpected end of word" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("command", [["check", "morse"], ["check", "confluence"]])
 def test_zero_all_trees_exits_2(command):
     r = run(*command, "--all-trees", "0")

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -241,6 +242,74 @@ def test_maclane_rejects_unparenthesised():
         co.maclane_parse("abc")
     with pytest.raises(ParseError):
         co.maclane_parse("((ab)c")
+
+
+def _maclane_words(rng, count):
+    """Valid MacLane words and seeded random edits of them: a character
+    dropped, doubled, swapped with its neighbour or replaced."""
+    def word(letters):
+        if len(letters) == 1:
+            return letters
+        k = rng.randrange(1, len(letters))
+        return "(" + word(letters[:k]) + word(letters[k:]) + ")"
+
+    for _ in range(count):
+        text = word("abcdefg"[: rng.randrange(1, 8)])
+        if rng.random() < 0.5 and len(text) > 2:
+            text = text[1:-1]  # the top-level pair is written unparenthesised
+        for _ in range(rng.randrange(0, 3)):
+            i = rng.randrange(len(text))
+            edit = rng.randrange(4)
+            if edit == 0:
+                text = text[:i] + text[i + 1 :]
+            elif edit == 1:
+                text = text[:i] + text[i] + text[i:]
+            elif edit == 2 and i + 1 < len(text):
+                text = text[:i] + text[i + 1] + text[i] + text[i + 2 :]
+            else:
+                text = text[:i] + rng.choice("()abz1 .") + text[i + 1 :]
+            if not text:
+                break
+        yield f" {text} " if rng.random() < 0.1 else text
+
+
+def test_maclane_parser_matches_the_recursive_oracle():
+    """Expressions, messages and columns agree with recursive descent on
+    seeded valid and malformed words."""
+    rng = random.Random(41)
+    kinds = set()
+    for text in _maclane_words(rng, 3000):
+        try:
+            expected = oracles.maclane_parse_recursive(text)
+        except ValueError as exc:
+            expected = f"error: {exc}"
+        try:
+            got = str(co.maclane_parse(text))
+        except ParseError as exc:
+            got = f"error: {exc}"
+        assert got == expected, text
+        kinds.add(re.sub(r"column \d+: |found .*", "", got) if "error" in got else "ok")
+    assert kinds == {
+        "ok",
+        "error: unexpected end of word",
+        "error: expected ')'",
+        "error: expected a letter or '(', ",
+        "error: a product must pair exactly two fully parenthesised factors",
+        "error: letters must be distinct",
+        "error: letters out of planar order: the symmetric case is not supported",
+    }
+
+
+def test_maclane_parser_runs_over_a_stack():
+    depth = 5000
+    with pytest.raises(ParseError, match=f"column {depth + 1}: unexpected end of word"):
+        co.maclane_parse("(" * depth + "a")
+    letters = [chr(0x4E00 + i) for i in range(depth + 1)]  # distinct, increasing
+    left = "(" * depth + letters[0] + "".join(x + ")" for x in letters[1:])
+    right = "".join("(" + x for x in letters[:-1]) + letters[-1] + ")" * depth
+    for text in (left, right):
+        expr = co.maclane_parse(text)
+        assert expr.arity == 1 and expression_to_nesting(expr)[0].p == depth + 1
 
 
 def test_maclane_tamari_graph_counts():

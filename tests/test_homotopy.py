@@ -20,6 +20,7 @@ from operahedra.homotopy import (
     BacktrackInsert,
     Certificate,
     FaceSubstitute,
+    HomotopyBuilder,
     Path,
     reduce_path,
     validate_path,
@@ -580,6 +581,17 @@ def test_general_second_half_is_the_replayed_inverse():
         assert cert.moves[: len(forward)] == forward
         inverse = oracles.invert_moves(sk.complex, p2, b.to_canonical(p2))
         assert list(cert.moves[len(forward) :]) == inverse
+
+
+def test_general_is_the_same_from_a_fresh_or_a_warmed_builder():
+    """Per-step homotopies are cached on the builder: a certificate does
+    not depend on the queries the builder answered before."""
+    for sk, p1, p2, cert in _pinned_certificates():
+        warmed = sk.homotopy_builder()
+        warmed.general(p2, p1)
+        assert warmed.general(p1, p2) == cert
+        fresh = HomotopyBuilder(sk.complex, sk.orientation, sk.morse())
+        assert fresh.general(p1, p2) == cert
 
 
 def test_face_moves_equal_the_rotation_search():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -300,6 +301,60 @@ def test_deep_combs_unfold_iteratively(side):
     assert len(nesting) == depth
     assert sorted(m.bit_count() for m in nesting) == list(range(2, depth + 2))
     assert sum(map(len, tree.children)) == depth
+
+
+def _random_expressions(rng, count):
+    """Seeded random expressions of up to 40 generators: pairs drawn from a
+    pool are composed at a random slot until one expression is left."""
+    for _ in range(count):
+        pool = [Generator(f"g{i}", rng.randrange(1, 4)) for i in range(rng.randrange(1, 41))]
+        while len(pool) > 1:
+            left = pool.pop(rng.randrange(len(pool)))
+            right = pool.pop(rng.randrange(len(pool)))
+            pool.append(Composition(left, right, rng.randrange(1, left.arity + 1)))
+        yield pool[0]
+
+
+def _chain(side, depth):
+    """A comb of unary generators nested ``depth`` deep on one side."""
+    expr = Generator("g0", 1)
+    for i in range(1, depth + 1):
+        g = Generator(f"g{i}", 1)
+        expr = Composition(expr, g, 1) if side == "left" else Composition(g, expr, 1)
+    return expr
+
+
+@pytest.fixture
+def deep_recursion():
+    """Room for the recursive oracle on depth-2000 combs."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_unfolded_tree_is_the_checked_tree_and_is_kept(deep_recursion):
+    """The tree the unfolding builds without the constructor's checks is
+    the one the checking constructor builds from its fields, it matches
+    the recursive oracle, and a second call returns the same objects.
+    The oracle re-walks a left chain's leaves per graft, about 4 s at
+    depth 2000, so that chain is checked against the constructor only."""
+    exprs = list(_random_expressions(random.Random(73), 198))
+    exprs += [_chain("right", 2000), _chain("left", 2000)]
+    for k, expr in enumerate(exprs):
+        tree, nesting = expression_to_nesting(expr)
+        rebuilt = PlanarTree(tree.children, tree.leaf_slots, tree.labels)
+        assert tree == rebuilt
+        assert tree.parent == rebuilt.parent and hash(tree) == hash(rebuilt)
+        if k < len(exprs) - 1:
+            got_sets = frozenset(map(oracles.vertex_set, nesting))
+            assert (tree.children, tree.leaf_slots, tree.labels, got_sets) == (
+                oracles.expression_to_nesting_recursive(expr)
+            )
+        again = expression_to_nesting(expr)
+        assert again[0] is tree and again[1] is nesting
+    assert max(expression_to_nesting(e)[0].p for e in exprs[:-2]) == 40
+    assert [expression_to_nesting(e)[0].p for e in exprs[-2:]] == [2001, 2001]
 
 
 def test_deep_fold_runs_over_a_stack():
