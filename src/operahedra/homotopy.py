@@ -181,10 +181,6 @@ def reduce_path(c, path):
     return Path(path.start, tuple(word))
 
 
-def _shift(moves, delta):
-    return [type(m)(m.position + delta, *m[1:]) for m in moves]
-
-
 # ---------------------------------------------------------------------------
 # Certificate generation
 
@@ -278,7 +274,10 @@ class HomotopyBuilder:
         s1, s2 = g1[0], g2[0]
         if s1 == s2:
             nxt = self.c.step_ends(s1)[1]
-            moves = _shift(self.oriented_to_sink(nxt, g1[1:], g2[1:]), 1)
+            moves = [
+                type(m)(m.position + 1, *m[1:])
+                for m in self.oriented_to_sink(nxt, g1[1:], g2[1:])
+            ]
         else:
             e1, e2 = abs(s1) - 1, abs(s2) - 1
             ci = self.corners.cell_at(x, e1, e2)
