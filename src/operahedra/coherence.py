@@ -23,9 +23,10 @@ from .homotopy import (
     BacktrackInsert,
     FaceSubstitute,
     Path,
+    _json_int,
     verify_certificate,
 )
-from .skeleton import FULL_NEST_FLIP, build_skeleton
+from .skeleton import build_skeleton
 
 
 class MorphismWord(NamedTuple):
@@ -73,7 +74,7 @@ def replay(expr, moves):
         s = sk.out_step[at].get(mask)
         if s is None:
             if mask in sk.vertices[at]:
-                raise IllegalMoveError(k, FULL_NEST_FLIP)
+                raise IllegalMoveError(k, "the full nest cannot be flipped")
             raise IllegalMoveError(k, f"nest {sorted(move[0])} is not present")
         e = sk.edges[abs(s) - 1]
         if s > 0:
@@ -312,9 +313,9 @@ def word_from_json(data, expr=None):
         if expr is None:
             expr = trees.parse_expression(data["object"])
         moves = [
-            (frozenset(int(v) for v in mv["remove"]),
-             frozenset(int(v) for v in mv["add"]) if "add" in mv else None,
-             int(mv["sign"]) if "sign" in mv else None, None)
+            (frozenset(_json_int(v, "remove") for v in mv["remove"]),
+             frozenset(_json_int(v, "add") for v in mv["add"]) if "add" in mv else None,
+             _json_int(mv["sign"], "sign") if "sign" in mv else None, None)
             for mv in data.get("moves", ())
         ]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

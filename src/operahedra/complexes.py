@@ -40,6 +40,15 @@ class Complex2:
         self.edges = tuple((int(a), int(b)) for a, b in edges)
         self.cells = tuple(tuple(int(s) for s in cell) for cell in cells)
 
+    @classmethod
+    def _trusted(cls, vertex_count, edges, cells):
+        """A complex from fields already in normal form (an int, a tuple of
+        int pairs, a tuple of int tuples), for builders that make them so;
+        nothing is converted or checked."""
+        c = cls.__new__(cls)
+        c.vertex_count, c.edges, c.cells = vertex_count, edges, cells
+        return c
+
     def __eq__(self, other):
         return (
             isinstance(other, Complex2)
@@ -154,9 +163,8 @@ def step_ascends(c, orientation, s):
 def out_edges(c, orientation):
     """For each vertex, the sorted list of edges directed away from it."""
     out = [[] for _ in range(c.vertex_count)]
-    for e in range(len(c.edges)):
-        src, _ = directed_ends(c, orientation, e)
-        out[src].append(e)
+    for e, (a, b) in enumerate(c.edges):
+        out[b if orientation[e] else a].append(e)
     return out
 
 
@@ -284,8 +292,7 @@ def link_spanning_tree(link):
     seen = {start}
     tree = []
     queue = [start]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:  # breadth first: the loop reaches what it appends
         for w, witness in sorted(adj[v]):
             if w not in seen:
                 seen.add(w)
@@ -318,31 +325,31 @@ def morse_certificate(c, orientation):
     Checks, in order: the directed 1-skeleton is acyclic; the outgoing link
     of every vertex is connected; there is exactly one vertex with no
     outgoing edge; every 2-cell has a unique source and a unique sink
-    (equivalently its boundary is two directed arcs).
+    (equivalently its boundary is two directed arcs).  The corner index
+    checks the orientation, and its outgoing edges give the directed graph.
     """
-    orientation = check_orientation(c, orientation)
     corners = CornerIndex(c, orientation)
     V = c.vertex_count
-    adj = [[] for _ in range(V)]
+    adj = []  # per vertex, the heads of its outgoing edges in edge order
     indeg = [0] * V
-    for e in range(len(c.edges)):
-        src, dst = directed_ends(c, orientation, e)
-        adj[src].append(dst)
-        indeg[dst] += 1
+    for x, out in enumerate(corners.out):
+        heads = [b if a == x else a for a, b in map(c.edges.__getitem__, out)]
+        for w in heads:
+            indeg[w] += 1
+        adj.append(heads)
 
     heap = [v for v in range(V) if indeg[v] == 0]
     heapify(heap)
     order = []
-    indeg_work = indeg[:]
     while heap:
         v = heappop(heap)
         order.append(v)
         for w in adj[v]:
-            indeg_work[w] -= 1
-            if indeg_work[w] == 0:
+            indeg[w] -= 1
+            if indeg[w] == 0:
                 heappush(heap, w)
     if len(order) != V:
-        return CounterexampleReport("cycle", _find_cycle(adj, indeg_work))
+        return CounterexampleReport("cycle", _find_cycle(adj, indeg))
 
     witnesses = []
     for x in range(V):

@@ -483,6 +483,11 @@ def verify_certificate(c, cert):
     source, target, moves = cert.source, cert.target, cert.moves
     if source.start != target.start:
         return VerifyResult(False, -1, "source and target start at different vertices")
+    if not 0 <= source.start < c.vertex_count:
+        return VerifyResult(False, -1, "paths start outside the complex")
+    for name, path in (("source", source), ("target", target)):
+        if any(s == 0 or abs(s) > len(c.edges) for s in path.steps):
+            return VerifyResult(False, -1, f"{name} path references a bad edge")
     verts = chain(source.start, source.steps)
     if verts is None:
         return VerifyResult(False, -1, "source path does not chain")

@@ -1,8 +1,10 @@
 """Operahedron skeletons: vertices, rewrite-classified edges, and 2-faces.
 
 The operahedron of a planar tree has one face per nesting containing the
-full nest; vertices are the maximal nestings, edges the pairs differing in a
-single nest, and 2-faces the nestings of size p - 3.  Every edge is a single
+full nest; vertices are the maximal nestings, edges the nestings of size
+p - 2 and 2-faces those of size p - 3.  An edge lies in exactly two maximal
+nestings, its ends, so the edges are found by pairing the vertices that
+reach the same nesting on dropping one non-full nest.  Every edge is a single
 nest replacement and is classified as a sequential move (the replaced and
 replacing nests share no top vertex) or a parallel move (they share it);
 the forward direction is the rewrite towards the unique normal form.
@@ -24,14 +26,12 @@ from typing import NamedTuple
 
 from . import trees
 from .complexes import Complex2
-from .errors import MalformedEdgeError, NotMaximalError, ShapeError
+from .errors import EngineError, MalformedEdgeError, ShapeError
 
 BETA = "beta"
 THETA = "theta"
 
 SHAPE_BY_LENGTH = {4: "square", 5: "pentagon", 6: "hexagon"}
-
-FULL_NEST_FLIP = "the full nest cannot be flipped"
 
 
 class SkeletonEdge(NamedTuple):
@@ -80,59 +80,6 @@ def classify_edge(tree, nesting_a, nesting_b):
     return classify_flip(tree, next(iter(diff_a)), next(iter(diff_b)))
 
 
-def flip_nest(tree, nesting, nest):
-    """Replace ``nest`` in a maximal nesting by the unique alternative.
-
-    Dropping a non-full nest leaves its parent with three immediate pieces;
-    the quotient of those pieces is a three-vertex tree, so exactly two
-    groupings are connected and the flip swaps one for the other.
-
-    The nesting must be laminar (pairwise nested or disjoint).  One pass
-    over it finds the parent, the smallest enclosing nest, and the largest
-    member inside ``nest``.  A mask is numerically larger than each of its
-    proper subsets, so those are the least enclosing mask and the greatest
-    contained one; the latter is a piece of ``nest``.  The three pieces are
-    it, the rest of ``nest`` and the rest of the parent; each rest must be
-    a member or a single vertex.  Returns the new nesting and the added
-    nest.  Raises MalformedEdgeError for the full nest and NotMaximalError
-    when the nesting is not maximal around ``nest``.
-    """
-    parent = None
-    largest = 0
-    for m in nesting:
-        common = m & nest
-        if common == nest:
-            if m != nest and (parent is None or m < parent):
-                parent = m
-        elif common == m and m > largest:
-            largest = m
-    if parent is None:
-        raise MalformedEdgeError(FULL_NEST_FLIP)
-    first = largest or nest & -nest
-    parts = [first, nest ^ first, parent ^ nest]
-    if not all(q & (q - 1) == 0 or q in nesting for q in parts[1:]):
-        raise NotMaximalError("dropping one nest must leave a ternary parent")
-    parts.sort(key=lambda m: m & -m)
-    # ordered by least vertex, so the first holds the top and the second
-    # hangs from it
-    top, x, y = parts
-    hang_x = tree.parent[trees.top_vertex(x)]
-    hang_y = tree.parent[trees.top_vertex(y)]
-    if top >> hang_x & 1 and top >> hang_y & 1:
-        groupings = (top | x, top | y)
-    elif top >> hang_x & 1 and x >> hang_y & 1:
-        groupings = (top | x, x | y)
-    else:
-        raise NotMaximalError("pieces do not form a three-vertex quotient tree")
-    if nest == groupings[0]:
-        added = groupings[1]
-    elif nest == groupings[1]:
-        added = groupings[0]
-    else:
-        raise NotMaximalError("the dropped nest is not a grouping of the pieces")
-    return (nesting - {nest}) | {added}, added
-
-
 class Skeleton:
     """The 2-skeleton of the operahedron of a planar tree.
 
@@ -147,42 +94,62 @@ class Skeleton:
         self.index = {m: i for i, m in enumerate(self.vertices)}
         full = trees.full_nest(tree)
 
+        # An edge is a maximal nesting less one non-full nest and lies in
+        # exactly two maximal nestings: the first vertex to reach it waits
+        # under that key and the second closes the edge.  A vertex's waiting
+        # edges close in increasing order of their other end, so each takes
+        # the vertex's next free id and edges come out sorted by (a, b).
         # out_step[i][nest] is the signed step that leaves vertex i by
-        # flipping nest.  Each edge is flipped once, from its smaller end, and
-        # recorded at both; the row holds the vertex across until the edges
-        # are numbered.
-        out_step = [{} for _ in self.vertices]
-        edge_map = {}
+        # flipping nest; a row lists its edges to earlier vertices in their
+        # order, then the nests it waits on in nesting order.
+        out_step = []
+        pairs = []  # per edge: (a, b, nest removed, nest added)
+        next_step = []  # per vertex: the step its next closed edge takes
+        waiting = {}  # nesting less one nest -> (vertex, nest) that reached it
         for i, m in enumerate(self.vertices):
-            row = out_step[i]
+            next_step.append(len(pairs) + 1)
+            closed, opened = [], []
             for nest in m:
-                if nest == full or nest in row:
+                if nest == full:
                     continue
-                flipped, added = flip_nest(tree, m, nest)
-                j = self.index[flipped]
-                row[nest] = j
-                out_step[j][added] = i
-                edge_map[(i, j)] = (nest, added)
+                key = m - {nest}
+                first = waiting.pop(key, None)
+                if first is None:
+                    waiting[key] = (i, nest)
+                    opened.append(nest)
+                    continue
+                j, removed = first
+                s = next_step[j]
+                next_step[j] = s + 1
+                pairs[s - 1] = (j, i, removed, nest)
+                out_step[j][removed] = s
+                closed.append((s, nest))
+            closed.sort()
+            row = {nest: -s for s, nest in closed}
+            row.update(dict.fromkeys(opened))  # steps set when the edges close
+            out_step.append(row)
+            pairs.extend([None] * len(opened))
+        if waiting:
+            raise EngineError(
+                f"{len(waiting)} edge nestings lie in a single maximal nesting"
+            )
+        self.out_step = out_step
         # one frozenset of vertex ids per distinct nest, shared by the edges
         ids = {}
-        for nest in {n for pair in edge_map.values() for n in pair}:
+        for nest in {n for _, _, removed, added in pairs for n in (removed, added)}:
             ids[nest] = frozenset(trees.nest_vertices(nest))
         self.edges = []
         self._arrivals = {}  # signed step -> (vertex, nest mask) it arrives at and adds
-        step = {}  # (a, b) -> the step from a to b, edge id + 1
-        for (i, j), (removed, added) in sorted(edge_map.items()):
+        for s, (a, b, removed, added) in enumerate(pairs, 1):
             kind, forward = classify_flip(tree, removed, added)
-            self.edges.append(SkeletonEdge(i, j, ids[removed], ids[added], kind, forward))
-            s = step[(i, j)] = len(self.edges)
-            self._arrivals[s] = (j, added)
-            self._arrivals[-s] = (i, removed)
-        for i, row in enumerate(out_step):
-            for nest, j in row.items():
-                row[nest] = step[(i, j)] if i < j else -step[(j, i)]
-        self.out_step = out_step
+            self.edges.append(SkeletonEdge(a, b, ids[removed], ids[added], kind, forward))
+            self._arrivals[s] = (b, added)
+            self._arrivals[-s] = (a, removed)
 
-        self.complex = Complex2(
-            len(self.vertices), [(e.a, e.b) for e in self.edges], self._build_faces()
+        self.complex = Complex2._trusted(
+            len(self.vertices),
+            tuple((e.a, e.b) for e in self.edges),
+            self._build_faces(),
         )
         self.faces = [
             TwoFace(steps, SHAPE_BY_LENGTH[len(steps)]) for steps in self.complex.cells
@@ -215,7 +182,7 @@ class Skeleton:
                     free = (rank[n1], rank[n2])
                     found.append(([r for r in ranks if r not in free], steps))
         found.sort(key=lambda face: face[0])
-        return [steps for _, steps in found]
+        return tuple(steps for _, steps in found)
 
     def _walk_face(self, start, n1, n2):
         """The boundary steps from `start` crossing n1 first, then the two

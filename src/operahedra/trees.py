@@ -22,7 +22,7 @@ convert, and ``nesting_to_json`` prints.
 
 import re
 
-from .errors import ArityError, NotMaximalError, ParseError
+from .errors import ArityError, EngineError, NotMaximalError, ParseError
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -415,8 +415,15 @@ def sort_nestings(nestings):
     return sorted(nestings, key=lambda m: sorted(map(rank, m)))
 
 
+# The fewest maximal nestings of a tree with p vertices are the linear
+# tree's, Catalan(p - 1), already about 1.8e9 at 20 vertices: no larger
+# operahedron can be built, and a larger tree is refused before enumerating.
+MAX_VERTICES = 20
+
+
 def enumerate_maximal_nestings(tree):
-    """All maximal nestings, in the order of sort_nestings.
+    """All maximal nestings, in the order of sort_nestings; raises
+    EngineError for a tree with more than MAX_VERTICES vertices.
 
     Recursive binary decomposition: a connected set S with more than one
     vertex splits as (S - Q, Q) where Q is the part of S at and below one of
@@ -425,6 +432,11 @@ def enumerate_maximal_nestings(tree):
     edge.  Each split contributes the nest S and the maximal nestings of both
     sides.
     """
+    if tree.p > MAX_VERTICES:
+        raise EngineError(
+            f"a tree with {tree.p} vertices is too large: an operahedron can be "
+            f"built for at most {MAX_VERTICES}"
+        )
     below = [1 << v for v in range(tree.p)]  # each vertex's subtree
     for v in range(tree.p - 1, 0, -1):
         below[tree.parent[v]] |= below[v]

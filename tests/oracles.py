@@ -18,6 +18,8 @@ reference for its one-pass iterative unfolding, the recursive MacLane
 word parser is the engine's original one, the reference for its
 stack-based parser, and the piece-based face classifier is its original
 one, the reference for reading a face's shape off its boundary length.
+The nest flip is the engine's original edge finder, the reference for its
+pairing of maximal nestings that share all but one nest.
 
 Nests here are frozensets of vertex ids, where the engine spells them as
 bitmasks; `vertex_set` converts a mask the engine hands over with no engine
@@ -448,6 +450,58 @@ def morse_brute(c, orientation):
 
 
 # ---------------------------------------------------------------------------
+# Edges by flipping one nest
+
+
+def flip_nest(tree, nesting, nest):
+    """Replace ``nest`` in a maximal nesting by the unique alternative; the
+    engine's original edge finder, the reference for its pairing of the
+    maximal nestings that share all but one nest.  Nests are masks here.
+
+    Dropping a non-full nest leaves its parent with three immediate pieces;
+    the quotient of those pieces is a three-vertex tree, so exactly two
+    groupings are connected and the flip swaps one for the other.  The
+    parent is the least mask enclosing ``nest`` and the greatest mask inside
+    it is one of its pieces.  Returns the new nesting and the added nest;
+    raises ValueError for the full nest or a nesting not maximal around
+    ``nest``.
+    """
+    parent = None
+    largest = 0
+    for m in nesting:
+        common = m & nest
+        if common == nest:
+            if m != nest and (parent is None or m < parent):
+                parent = m
+        elif common == m and m > largest:
+            largest = m
+    if parent is None:
+        raise ValueError("the full nest cannot be flipped")
+    first = largest or nest & -nest
+    parts = [first, nest ^ first, parent ^ nest]
+    if not all(q & (q - 1) == 0 or q in nesting for q in parts[1:]):
+        raise ValueError("dropping one nest must leave a ternary parent")
+    # ordered by least vertex, so the first holds the top and the second
+    # hangs from it
+    top, x, y = sorted(parts, key=lambda m: m & -m)
+    hang_x = tree.parent[(x & -x).bit_length() - 1]
+    hang_y = tree.parent[(y & -y).bit_length() - 1]
+    if top >> hang_x & 1 and top >> hang_y & 1:
+        groupings = (top | x, top | y)
+    elif top >> hang_x & 1 and x >> hang_y & 1:
+        groupings = (top | x, x | y)
+    else:
+        raise ValueError("pieces do not form a three-vertex quotient tree")
+    if nest == groupings[0]:
+        added = groupings[1]
+    elif nest == groupings[1]:
+        added = groupings[0]
+    else:
+        raise ValueError("the dropped nest is not a grouping of the pieces")
+    return (nesting - {nest}) | {added}, added
+
+
+# ---------------------------------------------------------------------------
 # Pieces and certificate replay by their quadratic definitions
 
 
@@ -558,6 +612,13 @@ def verify_certificate_quadratic(c, cert):
     source, target, moves = cert.source, cert.target, cert.moves
     if source.start != target.start:
         return (False, -1, "source and target start at different vertices")
+    if source.start not in range(c.vertex_count):
+        return (False, -1, "paths start outside the complex")
+    edge_ids = range(len(c.edges))
+    if not all(abs(s) - 1 in edge_ids for s in source.steps):
+        return (False, -1, "source path references a bad edge")
+    if not all(abs(s) - 1 in edge_ids for s in target.steps):
+        return (False, -1, "target path references a bad edge")
     if vertex_at(source.steps, source.start, len(source.steps)) is None:
         return (False, -1, "source path does not chain")
     if vertex_at(target.steps, target.start, len(target.steps)) is None:

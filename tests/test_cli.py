@@ -321,6 +321,17 @@ def test_deep_maclane_word_is_a_parse_error():
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("depth", [21, 1200])
+def test_tree_past_twenty_vertices_exits_2(depth):
+    """A tree too large for its operahedron to be built is refused before
+    its maximal nestings are enumerated, however deep it is."""
+    expr = "(" * (depth - 1) + "a:1" + " o1 b:1)" * (depth - 1)
+    r = run("normalize", "--expr", expr)
+    assert r.returncode == 2
+    assert f"error: a tree with {depth} vertices is too large" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("command", [["check", "morse"], ["check", "confluence"]])
 def test_zero_all_trees_exits_2(command):
     r = run(*command, "--all-trees", "0")
@@ -462,6 +473,22 @@ def _string_reverse(docs):
     docs["cert"]["moves"][0]["reverse"] = "false"
 
 
+def _float_ids(docs):
+    docs["word"]["moves"][0]["remove"] = [0.9, 1.2, 2.0]
+
+
+def _string_and_bool_ids(docs):
+    docs["word"]["moves"][0]["remove"] = ["0", True, 2]
+
+
+def _float_added_ids(docs):
+    docs["word"]["moves"][0]["add"] = [1.0, 2, 3]
+
+
+def _string_sign(docs):
+    docs["word"]["moves"][0]["sign"] = "1"
+
+
 @pytest.mark.parametrize(
     "spoil, command",
     [
@@ -479,6 +506,10 @@ def _string_reverse(docs):
         (_zero_sign, "verify"),
         (_sign_seven, "verify"),
         (_string_reverse, "verify"),
+        (_float_ids, "coherence"),
+        (_string_and_bool_ids, "coherence"),
+        (_float_added_ids, "coherence"),
+        (_string_sign, "coherence"),
     ],
 )
 def test_malformed_json_inputs_exit_2(spoil, command, tmp_path):
@@ -501,6 +532,26 @@ def test_malformed_json_inputs_exit_2(spoil, command, tmp_path):
                 "--cert", str(files["cert"]))
     assert r.returncode == 2
     assert "error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("paths, reason", [
+    ({"source": {"start": 0, "steps": [[99, 1]]}, "target": {"start": 0, "steps": []}},
+     "source path references a bad edge"),
+    ({"source": {"start": 0, "steps": []}, "target": {"start": 0, "steps": [[99, 1]]}},
+     "target path references a bad edge"),
+    ({"source": {"start": 99, "steps": []}, "target": {"start": 99, "steps": []}},
+     "paths start outside the complex"),
+])
+def test_verify_refuses_paths_outside_the_complex(paths, reason, tmp_path):
+    """A step or start outside the complex is a rejected certificate (exit
+    3 with its reason), neither a traceback nor an accepted empty replay."""
+    pent, cert = tmp_path / "pent.json", tmp_path / "cert.json"
+    assert run("gen", "--linear", "4", "--complex-out", str(pent)).returncode == 0
+    cert.write_text(json.dumps({**paths, "moves": []}))
+    r = run("check", "verify", "--complex", str(pent), "--cert", str(cert))
+    assert r.returncode == 3
+    assert out_json(r)["ok"] is False and out_json(r)["reason"] == reason
     assert "Traceback" not in r.stderr
 
 

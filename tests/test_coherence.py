@@ -7,7 +7,7 @@ import oracles
 from operahedra import coherence as co
 from operahedra.errors import IllegalMoveError, NotParallelError, ParseError
 from operahedra.homotopy import Path, validate_path, verify_certificate
-from operahedra.skeleton import build_skeleton, classify_flip, flip_nest
+from operahedra.skeleton import build_skeleton, classify_flip
 from operahedra.trees import (
     PlanarTree,
     enumerate_nests,
@@ -413,7 +413,7 @@ def test_illegal_moves_report_one_index_from_every_front_end():
     current = sk.vertices[validate_path(sk.complex, path)]
     full = full_nest(tree)
     nest = min(current - {full}, key=lambda n: sorted(oracles.vertex_set(n)))
-    _, partner = flip_nest(tree, current, nest)
+    _, partner = oracles.flip_nest(tree, current, nest)
     kind, forward = classify_flip(tree, nest, partner)
     sign = 1 if forward else -1
     other_kind = "theta" if kind == "beta" else "beta"
@@ -487,7 +487,7 @@ def test_word_to_path_follows_replay_on_random_walks():
                     nest = rng.choice(sorted(
                         current - {full}, key=lambda n: sorted(oracles.vertex_set(n))
                     ))
-                    current, _ = flip_nest(tree, current, nest)
+                    current, _ = oracles.flip_nest(tree, current, nest)
                     moves.append((oracles.vertex_set(nest), None, None, None))
                     visited.append(current)
                 expr = sk.expression_of(start)
@@ -502,6 +502,9 @@ def test_word_to_path_follows_replay_on_random_walks():
 
 
 def test_word_to_path_and_decide_do_not_flip_nests(monkeypatch):
+    """Words are read off a built skeleton's step table: once the skeleton
+    is built, reading and deciding words builds no skeleton, and so finds
+    no edge again."""
     from operahedra import skeleton
 
     expr = parse_expression("(((k:1 o1 t:1) o1 m:1) o1 n:1)")
@@ -512,16 +515,16 @@ def test_word_to_path_and_decide_do_not_flip_nests(monkeypatch):
     before = (co.word_to_path(w1)[1], co.decide_coherence(w1, w2))
 
     def refuse(*args):
-        raise RuntimeError("flip_nest called")
+        raise RuntimeError("Skeleton built")
 
-    monkeypatch.setattr(skeleton, "flip_nest", refuse)
-    assert not hasattr(co, "flip_nest")
+    monkeypatch.setattr(skeleton, "Skeleton", refuse)
+    assert not hasattr(skeleton, "flip_nest") and not hasattr(co, "flip_nest")
     start = sk.index[expression_to_nesting(expr)[1]]
     step = sk.out_step[start][nest_mask({0, 1}, 4)]
     word = co.parse_word_text(expr, "beta@0.1")
     assert co.word_to_path(word) == (sk, Path(start, (step,)))
-    with pytest.raises(RuntimeError):  # the patch is live: building flips
-        skeleton.Skeleton(PlanarTree.linear(4))
+    with pytest.raises(RuntimeError):  # the patch is live: a cache miss builds
+        skeleton.build_skeleton.__wrapped__(PlanarTree.linear(4))
     assert (co.word_to_path(w1)[1], co.decide_coherence(w1, w2)) == before
 
 
@@ -530,7 +533,7 @@ def test_one_unfold_and_no_flip_per_word(monkeypatch):
 
     expr = parse_expression("(((k:1 o1 t:1) o1 m:1) o1 n:1)")
     build_skeleton(expression_to_nesting(expr)[0]).homotopy_builder()
-    calls = {"unfold": 0, "flip": 0}
+    calls = {"unfold": 0, "build": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -541,20 +544,20 @@ def test_one_unfold_and_no_flip_per_word(monkeypatch):
 
     monkeypatch.setattr(trees, "expression_to_nesting",
                         counting("unfold", trees.expression_to_nesting))
-    monkeypatch.setattr(skeleton, "flip_nest", counting("flip", skeleton.flip_nest))
+    monkeypatch.setattr(skeleton, "Skeleton", counting("build", skeleton.Skeleton))
     w1 = co.parse_word_text(expr, "beta@0.1.2 beta@0.1")
-    assert calls == {"unfold": 1, "flip": 0}
+    assert calls == {"unfold": 1, "build": 0}
     w2 = co.word_from_json(co.parse_word_text(expr, "beta@0.1 beta@0.1.2 beta@1.2").to_json())
-    assert calls == {"unfold": 3, "flip": 0}  # the text word, then the JSON word
+    assert calls == {"unfold": 3, "build": 0}  # the text word, then the JSON word
     verdict = co.decide_coherence(w1, w2)
     assert verdict.equal
-    assert calls == {"unfold": 3, "flip": 0}
+    assert calls == {"unfold": 3, "build": 0}
     # a word built by hand is walked once, by the same replay
     co.decide_coherence(co.MorphismWord(expr, w1.moves), w2)
-    assert calls == {"unfold": 4, "flip": 0}
-    # the counters are live: a new skeleton flips every edge once
-    skeleton.Skeleton(PlanarTree.linear(4))
-    assert calls["flip"] == 5
+    assert calls == {"unfold": 4, "build": 0}
+    # the counter is live: a cache miss builds one skeleton
+    skeleton.build_skeleton.__wrapped__(PlanarTree.linear(4))
+    assert calls["build"] == 1
 
 
 def test_replayed_words_compare_by_expression_and_moves():

@@ -511,6 +511,22 @@ def test_verifier_agrees_with_quadratic_oracle():
         assert reason in outcomes
 
 
+@pytest.mark.parametrize("source, target, reason", [
+    (Path(99, ()), Path(99, ()), "paths start outside the complex"),
+    (Path(-1, ()), Path(-1, ()), "paths start outside the complex"),
+    (Path(0, (99,)), Path(0, ()), "source path references a bad edge"),
+    (Path(0, ()), Path(0, (-99,)), "target path references a bad edge"),
+    (Path(0, (0,)), Path(0, ()), "source path references a bad edge"),
+])
+def test_paths_outside_the_complex_are_rejected(source, target, reason):
+    """A start or a step outside the complex is a reason, not an index
+    error, and an empty replay there is not accepted."""
+    c = build_skeleton(PlanarTree.linear(4)).complex
+    cert = Certificate(source, target, ())
+    assert tuple(verify_certificate(c, cert)) == (False, -1, reason)
+    assert oracles.verify_certificate_quadratic(c, cert) == (False, -1, reason)
+
+
 class CountingComplex(cx.Complex2):
     """A Complex2 that counts its step_ends calls."""
 
